@@ -28,8 +28,7 @@
 /// section doubles as a bit-exactness gate; any packed/dense or
 /// cross-backend disagreement fails the binary.
 ///
-/// A model_load section measures serving cold-start: v2 stream load vs v3
-/// stream load vs v3 mmap (hdc::MappedModel, with and without the full
+/// A model_load section measures serving cold-start: stream load vs mmap (hdc::MappedModel, with and without the full
 /// checksum sweep). It doubles as the save -> map -> predict_batch
 /// round-trip gate: mapped predictions must be bit-exact with the in-memory
 /// model, and the instrument counters must show zero dense->packed rebuilds
@@ -981,14 +980,10 @@ void bench_model_load(std::size_t dim, std::size_t reps,
   hdc::HdcClassifier model(config, 28, 28, 10);
   model.fit(pair.train);
 
-  const auto v2_path = benchutil::out_dir() + "/model_load_v2.hdtm";
   const auto v3_path = benchutil::out_dir() + "/model_load_v3.hdtm";
-  hdc::save_model(model, v2_path, /*version=*/2);
   hdc::save_model(model, v3_path);
   const auto v3_bytes = std::filesystem::file_size(v3_path);
 
-  const double v2_stream_ms = time_load_ms(
-      reps, [&] { (void)hdc::load_model(v2_path); });
   const double v3_stream_ms = time_load_ms(
       reps, [&] { (void)hdc::load_model(v3_path); });
   const double v3_mmap_verified_ms = time_load_ms(reps, [&] {
@@ -1019,21 +1014,19 @@ void bench_model_load(std::size_t dim, std::size_t reps,
   }
 
   const double speedup =
-      v3_mmap_ms > 0.0 ? v2_stream_ms / v3_mmap_ms : 0.0;
-  std::printf("  dim=%5zu: v2 stream %8.2f ms, v3 stream %8.2f ms, v3 mmap "
-              "%8.3f ms verified / %8.3f ms unverified -> %.0fx vs v2 "
+      v3_mmap_ms > 0.0 ? v3_stream_ms / v3_mmap_ms : 0.0;
+  std::printf("  dim=%5zu: v3 stream %8.2f ms, v3 mmap %8.3f ms verified / "
+              "%8.3f ms unverified -> %.0fx vs stream "
               "(file %zu KiB; round-trip gate %s)\n",
-              dim, v2_stream_ms, v3_stream_ms, v3_mmap_verified_ms, v3_mmap_ms,
-              speedup, static_cast<std::size_t>(v3_bytes) / 1024,
+              dim, v3_stream_ms, v3_mmap_verified_ms, v3_mmap_ms, speedup,
+              static_cast<std::size_t>(v3_bytes) / 1024,
               counters_clean ? "clean" : "DIRTY");
   json_rows.push_back(
       JsonObject()
           .add("dim", static_cast<double>(dim))
-          .add("v2_stream_ms", v2_stream_ms)
           .add("v3_stream_ms", v3_stream_ms)
           .add("v3_mmap_verified_ms", v3_mmap_verified_ms)
           .add("v3_mmap_ms", v3_mmap_ms)
-          .add("mmap_speedup_vs_v2_stream", speedup)
           .add("v3_file_bytes", static_cast<double>(v3_bytes))
           .str());
 }
@@ -1608,7 +1601,7 @@ int main(int argc, char** argv) {
   // Serving cold-start + the save -> map -> predict_batch round-trip gate.
   const auto load_reps =
       benchutil::env_u64("HDTEST_LOAD_REPS", self_check_only ? 1 : 10);
-  std::printf("\nmodel cold-start: v2/v3 stream load vs v3 mmap "
+  std::printf("\nmodel cold-start: v3 stream load vs v3 mmap "
               "(%zu reps; gate: mapped predictions bit-exact, zero "
               "rebuilds/regenerations)\n",
               load_reps);

@@ -8,8 +8,10 @@
 /// searches for inputs where they *disagree* — surfacing decision-boundary
 /// fragility without labels and without trusting either model.
 
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <memory>
 
 #include "data/synthetic_digits.hpp"
 #include "fuzz/differential.hpp"
@@ -26,24 +28,31 @@ int main(int argc, char** argv) {
   args.add_flag("images", "40", "Images to fuzz");
   args.add_flag("strategy", "gauss", "Mutation strategy");
   args.add_flag("seed", "42", "Experiment seed");
+  // Every flag is read and converted before any work, so a malformed value
+  // exits 1 with one error line.
+  std::uint64_t seed = 0;
+  std::uint64_t images = 0;
+  hdc::ModelConfig config_a;
+  std::unique_ptr<fuzz::MutationStrategy> strategy;
   try {
     args.parse(argc, argv);
+    if (args.help_requested()) {
+      std::cout << args.usage();
+      return 0;
+    }
+    seed = args.get_u64("seed");
+    images = args.get_u64("images");
+    config_a.dim = args.get_u64("dim");
+    strategy = fuzz::make_strategy(args.get("strategy"));
   } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
+    std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  if (args.help_requested()) {
-    std::cout << args.usage();
-    return 0;
-  }
 
-  const auto seed = args.get_u64("seed");
   const auto pair = data::make_digit_train_test(100, 40, seed);
 
   // Two models, identical architecture and training data, different random
   // item memories — the HDC analogue of two independent implementations.
-  hdc::ModelConfig config_a;
-  config_a.dim = args.get_u64("dim");
   config_a.seed = seed;
   hdc::ModelConfig config_b = config_a;
   config_b.seed = seed ^ 0x9e3779b9ULL;
@@ -56,7 +65,6 @@ int main(int argc, char** argv) {
               100.0 * model_a.evaluate(pair.test).accuracy(),
               100.0 * model_b.evaluate(pair.test).accuracy());
 
-  const auto strategy = fuzz::make_strategy(args.get("strategy"));
   fuzz::FuzzConfig fuzz_config;
   fuzz_config.budget = fuzz::default_budget_for_strategy(strategy->name());
   const fuzz::CrossModelFuzzer fuzzer(model_a, model_b, *strategy, fuzz_config);
@@ -66,8 +74,7 @@ int main(int argc, char** argv) {
   std::size_t already_disagreed = 0;
   util::RunningStats iterations;
   util::RunningStats l2;
-  const auto count = std::min<std::size_t>(args.get_u64("images"),
-                                           pair.test.size());
+  const auto count = std::min<std::size_t>(images, pair.test.size());
   for (std::size_t i = 0; i < count; ++i) {
     util::Rng rng = master.child(i);
     const auto outcome = fuzzer.fuzz_one(pair.test.images[i], rng);

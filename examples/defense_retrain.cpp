@@ -5,8 +5,10 @@
 /// human labeling), then attack with the held-out half and a fresh HDTest
 /// run, reporting both attack-success drops.
 
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <memory>
 
 #include "data/synthetic_digits.hpp"
 #include "defense/retrain_defense.hpp"
@@ -26,22 +28,32 @@ int main(int argc, char** argv) {
   args.add_flag("epochs", "2", "Retraining epochs");
   args.add_flag("fraction", "0.5", "Fraction of the pool used for retraining");
   args.add_flag("seed", "42", "Experiment seed");
+  // Every flag is read and converted before any work, so a malformed value
+  // exits 1 with one error line.
+  std::uint64_t seed = 0;
+  hdc::ModelConfig config;
+  std::unique_ptr<fuzz::MutationStrategy> strategy;
+  fuzz::CampaignConfig campaign_config;
+  defense::DefenseConfig defense_config;
   try {
     args.parse(argc, argv);
+    if (args.help_requested()) {
+      std::cout << args.usage();
+      return 0;
+    }
+    seed = args.get_u64("seed");
+    config.dim = args.get_u64("dim");
+    strategy = fuzz::make_strategy(args.get("strategy"));
+    campaign_config.target_adversarials = args.get_u64("pool");
+    defense_config.retrain_fraction = args.get_double("fraction");
+    defense_config.epochs = args.get_u64("epochs");
   } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
+    std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  if (args.help_requested()) {
-    std::cout << args.usage();
-    return 0;
-  }
 
-  const auto seed = args.get_u64("seed");
   const auto pair = data::make_digit_train_test(100, 40, seed);
 
-  hdc::ModelConfig config;
-  config.dim = args.get_u64("dim");
   config.seed = seed;
   hdc::HdcClassifier model(config, 28, 28, 10);
   model.fit(pair.train);
@@ -49,13 +61,10 @@ int main(int argc, char** argv) {
               100.0 * model.evaluate(pair.test).accuracy());
 
   // (1) Attack-image generation.
-  const auto strategy = fuzz::make_strategy(args.get("strategy"));
   fuzz::FuzzConfig fuzz_config;
   fuzz_config.budget = fuzz::default_budget_for_strategy(strategy->name());
   const fuzz::Fuzzer fuzzer(model, *strategy, fuzz_config);
-  fuzz::CampaignConfig campaign_config;
   campaign_config.fuzz = fuzz_config;
-  campaign_config.target_adversarials = args.get_u64("pool");
   campaign_config.seed = seed;
   const auto campaign = fuzz::run_campaign(fuzzer, pair.test, campaign_config);
   if (campaign.gave_up) {
@@ -71,9 +80,6 @@ int main(int argc, char** argv) {
   std::printf("generated %zu adversarial images\n", pool.size());
 
   // (2) + (3) Retrain on one half, attack with the other.
-  defense::DefenseConfig defense_config;
-  defense_config.retrain_fraction = args.get_double("fraction");
-  defense_config.epochs = args.get_u64("epochs");
   const auto result =
       defense::run_defense(model, pool, pair.test, defense_config);
 

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   try {
     args.parse(argc, argv);
   } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
+    std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
   if (args.help_requested()) {
@@ -120,64 +120,45 @@ int main(int argc, char** argv) {
   if (args.get_bool("metrics")) obs::set_enabled(true);
 
   try {
-    // Shared, seed-derived campaign state (identical across roles).
-    const auto pair = data::make_digit_train_test(
-        args.get_u64("train"), args.get_u64("test"), args.get_u64("seed"));
-
+    // Every flag is read and converted before any data is generated or a
+    // model trained, so a malformed value fails in milliseconds.
+    const auto role = args.get("role");
+    if (role != "coordinator" && role != "worker") {
+      std::cerr << "error: --role must be coordinator or worker\n";
+      return 1;
+    }
+    const auto seed = args.get_u64("seed");
+    const auto train_per_class = args.get_u64("train");
+    const auto test_per_class = args.get_u64("test");
     hdc::ModelConfig model_config;
     model_config.dim = args.get_u64("dim");
-    model_config.seed = args.get_u64("seed");
-    hdc::HdcClassifier model(model_config, pair.train.images.front().width(),
-                             pair.train.images.front().height(),
-                             static_cast<std::size_t>(pair.train.num_classes));
-    model.fit(pair.train);
+    model_config.seed = seed;
 
     const auto strategy = fuzz::make_strategy(args.get("strategy"));
     fuzz::FuzzConfig fuzz_config;
     fuzz_config.iter_times = args.get_u64("iter-times");
     fuzz_config.budget = fuzz::default_budget_for_strategy(strategy->name());
-    const fuzz::Fuzzer fuzzer(model, *strategy, fuzz_config);
 
     fuzz::CampaignConfig config;
     config.fuzz = fuzz_config;
     config.max_images = args.get_u64("images");
     config.target_adversarials = args.get_u64("target");
     config.max_streams = args.get_u64("max-streams");
-    config.seed = args.get_u64("seed");
+    config.seed = seed;
     config.validate();
-
-    const auto planner = fuzz::shard::plan_campaign(config, pair.test.size());
     const std::size_t target = config.target_adversarials;
 
-    if (args.get("role") == "worker") {
-      fuzz::shard::SeedBank bank(fuzzer, pair.test);
-      fuzz::fleet::FuzzSliceExecutor executor(planner, fuzzer, pair.test,
-                                              &bank);
-      fuzz::fleet::TcpWorker::Options options;
-      options.host = args.get("host");
-      options.port = static_cast<std::uint16_t>(args.get_u64("port"));
-      options.backoff_seed = args.get_u64("seed");
-      if (options.port == 0) {
-        std::cerr << "error: worker role requires --port\n";
-        return 1;
-      }
-      fuzz::fleet::TcpWorker worker(
-          fuzz::fleet::campaign_fingerprint(planner, target), executor,
-          options);
-      const bool clean = worker.run(&g_stop);
-      std::printf("worker: %zu slices executed, %s\n",
-                  worker.slices_executed(),
-                  clean ? "clean shutdown" : "stopped without shutdown");
-      return clean ? 0 : 1;
-    }
-
-    if (args.get("role") != "coordinator") {
-      std::cerr << "error: --role must be coordinator or worker\n";
+    fuzz::fleet::TcpWorker::Options worker_options;
+    worker_options.host = args.get("host");
+    worker_options.port = static_cast<std::uint16_t>(args.get_u64("port"));
+    worker_options.backoff_seed = seed;
+    if (role == "worker" && worker_options.port == 0) {
+      std::cerr << "error: worker role requires --port\n";
       return 1;
     }
 
     fuzz::fleet::TcpCoordinator::Options options;
-    options.port = static_cast<std::uint16_t>(args.get_u64("port"));
+    options.port = worker_options.port;
     options.lease_timeout_ms = args.get_u64("lease-timeout-ms");
     options.strategy_name = strategy->name();
     options.journal_dir = args.get("journal-dir");
@@ -187,6 +168,32 @@ int main(int argc, char** argv) {
     options.metrics_out = args.get("metrics-out");
     options.metrics_interval_ms = args.get_u64("metrics-interval");
     options.trace_out = args.get("trace-out");
+    const bool verify_solo = args.get_bool("verify-solo");
+
+    // Shared, seed-derived campaign state (identical across roles).
+    const auto pair =
+        data::make_digit_train_test(train_per_class, test_per_class, seed);
+    hdc::HdcClassifier model(model_config, pair.train.images.front().width(),
+                             pair.train.images.front().height(),
+                             static_cast<std::size_t>(pair.train.num_classes));
+    model.fit(pair.train);
+    const fuzz::Fuzzer fuzzer(model, *strategy, fuzz_config);
+    const auto planner = fuzz::shard::plan_campaign(config, pair.test.size());
+
+    if (role == "worker") {
+      fuzz::shard::SeedBank bank(fuzzer, pair.test);
+      fuzz::fleet::FuzzSliceExecutor executor(planner, fuzzer, pair.test,
+                                              &bank);
+      fuzz::fleet::TcpWorker worker(
+          fuzz::fleet::campaign_fingerprint(planner, target), executor,
+          worker_options);
+      const bool clean = worker.run(&g_stop);
+      std::printf("worker: %zu slices executed, %s\n",
+                  worker.slices_executed(),
+                  clean ? "clean shutdown" : "stopped without shutdown");
+      return clean ? 0 : 1;
+    }
+
     if (!options.metrics_out.empty()) obs::set_enabled(true);
     if (!options.trace_out.empty()) {
       obs::set_enabled(true);
@@ -225,7 +232,7 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    if (args.get_bool("verify-solo")) {
+    if (verify_solo) {
       fuzz::CampaignConfig solo = config;
       solo.workers = 1;
       const auto reference = fuzz::run_campaign(fuzzer, pair.test, solo);

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   try {
     args.parse(argc, argv);
   } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
+    std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
   if (args.help_requested()) {
@@ -90,39 +90,17 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // Data: real MNIST when provided, synthetic otherwise.
-    data::Dataset train;
-    data::Dataset test;
-    if (const auto dir = args.get("mnist-dir"); !dir.empty()) {
-      train = data::load_mnist_dataset(dir, /*train=*/true);
-      test = data::load_mnist_dataset(dir, /*train=*/false);
-      std::printf("loaded MNIST from %s: %zu train / %zu test\n", dir.c_str(),
-                  train.size(), test.size());
-    } else {
-      const auto pair = data::make_digit_train_test(
-          args.get_u64("train"), args.get_u64("test"), args.get_u64("seed"));
-      train = pair.train;
-      test = pair.test;
-      std::printf("synthetic digits: %zu train / %zu test\n", train.size(),
-                  test.size());
-    }
-
-    // Model.
+    // Every flag is read and converted before any data is generated or a
+    // model trained, so a malformed value fails in milliseconds.
+    const auto seed = args.get_u64("seed");
+    const auto train_per_class = args.get_u64("train");
+    const auto test_per_class = args.get_u64("test");
     hdc::ModelConfig model_config;
     model_config.dim = args.get_u64("dim");
-    model_config.seed = args.get_u64("seed");
+    model_config.seed = seed;
     model_config.value_strategy =
         hdc::parse_value_strategy(args.get("value-memory"));
-    hdc::HdcClassifier model(model_config, train.images.front().width(),
-                             train.images.front().height(),
-                             static_cast<std::size_t>(train.num_classes));
-    util::Stopwatch watch;
-    model.fit(train);
-    std::printf("model: D=%zu, trained in %s, accuracy %.1f%%\n",
-                model_config.dim, util::format_duration(watch.seconds()).c_str(),
-                100.0 * model.evaluate(test).accuracy());
 
-    // Fuzzer.
     const auto strategy = fuzz::make_strategy(args.get("strategy"));
     fuzz::FuzzConfig fuzz_config;
     fuzz_config.iter_times = args.get_u64("iter-times");
@@ -140,7 +118,6 @@ int main(int argc, char** argv) {
       fuzz_config.budget =
           fuzz::default_budget_for_strategy(strategy->name());
     }
-    const fuzz::Fuzzer fuzzer(model, *strategy, fuzz_config);
 
     fuzz::CampaignConfig campaign_config;
     campaign_config.fuzz = fuzz_config;
@@ -148,7 +125,36 @@ int main(int argc, char** argv) {
     campaign_config.target_adversarials = args.get_u64("target");
     campaign_config.workers = args.get_u64("workers");
     campaign_config.max_streams = args.get_u64("max-streams");
-    campaign_config.seed = args.get_u64("seed");
+    campaign_config.seed = seed;
+
+    // Data: real MNIST when provided, synthetic otherwise.
+    data::Dataset train;
+    data::Dataset test;
+    if (const auto dir = args.get("mnist-dir"); !dir.empty()) {
+      train = data::load_mnist_dataset(dir, /*train=*/true);
+      test = data::load_mnist_dataset(dir, /*train=*/false);
+      std::printf("loaded MNIST from %s: %zu train / %zu test\n", dir.c_str(),
+                  train.size(), test.size());
+    } else {
+      const auto pair =
+          data::make_digit_train_test(train_per_class, test_per_class, seed);
+      train = pair.train;
+      test = pair.test;
+      std::printf("synthetic digits: %zu train / %zu test\n", train.size(),
+                  test.size());
+    }
+
+    // Model.
+    hdc::HdcClassifier model(model_config, train.images.front().width(),
+                             train.images.front().height(),
+                             static_cast<std::size_t>(train.num_classes));
+    util::Stopwatch watch;
+    model.fit(train);
+    std::printf("model: D=%zu, trained in %s, accuracy %.1f%%\n",
+                model_config.dim, util::format_duration(watch.seconds()).c_str(),
+                100.0 * model.evaluate(test).accuracy());
+
+    const fuzz::Fuzzer fuzzer(model, *strategy, fuzz_config);
 
     std::printf("fuzzing with '%s' (budget %s, %s)...\n",
                 strategy->name().c_str(), fuzz_config.budget.to_string().c_str(),
@@ -190,7 +196,8 @@ int main(int argc, char** argv) {
 
     if (campaign.gave_up) {
       std::cerr << "error: campaign gave up before reaching the target ("
-                << campaign.successes() << "/" << args.get_u64("target")
+                << campaign.successes() << "/"
+                << campaign_config.target_adversarials
                 << " adversarials after fuzzing " << campaign.images_fuzzed()
                 << " inputs); raise --max-streams or loosen the budget\n";
       return 2;

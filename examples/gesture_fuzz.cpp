@@ -12,8 +12,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "data/signal.hpp"
@@ -139,19 +142,36 @@ int main(int argc, char** argv) {
   args.add_flag("mutation", "noise", "noise|channel_rand|time_shift");
   args.add_flag("budget-l2", "1.0", "L2 budget (ignored for time_shift)");
   args.add_flag("seed", "42", "Experiment seed");
+  // Every flag is read and converted before any work, so a malformed value
+  // exits 1 with one error line.
+  std::uint64_t seed = 0;
+  int classes = 0;
+  std::uint64_t signals = 0;
+  std::string mutation;
+  double budget_l2 = 0.0;
+  hdc::ModelConfig config;
   try {
     args.parse(argc, argv);
+    if (args.help_requested()) {
+      std::cout << args.usage();
+      return 0;
+    }
+    seed = args.get_u64("seed");
+    classes = static_cast<int>(args.get_u64("classes"));
+    signals = args.get_u64("signals");
+    mutation = args.get("mutation");
+    if (mutation != "noise" && mutation != "channel_rand" &&
+        mutation != "time_shift") {
+      throw std::invalid_argument("flag --mutation: unknown mutation '" +
+                                  mutation + "'");
+    }
+    budget_l2 = args.get_double("budget-l2");
+    config.dim = args.get_u64("dim");
   } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
+    std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  if (args.help_requested()) {
-    std::cout << args.usage();
-    return 0;
-  }
 
-  const auto seed = args.get_u64("seed");
-  const int classes = static_cast<int>(args.get_u64("classes"));
   data::GestureStyle style;
   // Same class blueprints (same seed), disjoint sample streams (salts).
   const auto train =
@@ -159,8 +179,6 @@ int main(int argc, char** argv) {
   const auto test =
       data::make_gesture_dataset(classes, 15, seed, style, /*salt=*/1);
 
-  hdc::ModelConfig config;
-  config.dim = args.get_u64("dim");
   config.seed = seed;
   // Biosignal HDC practice (Rahimi et al.): quantize amplitudes to a few
   // *level-encoded* steps so nearby values stay similar — with 256 random
@@ -178,13 +196,11 @@ int main(int argc, char** argv) {
   util::RunningStats iterations;
   util::RunningStats l2;
   std::size_t successes = 0;
-  const auto count =
-      std::min<std::size_t>(args.get_u64("signals"), test.signals.size());
+  const auto count = std::min<std::size_t>(signals, test.signals.size());
   for (std::size_t i = 0; i < count; ++i) {
     util::Rng rng = master.child(i);
-    const auto outcome = fuzz_gesture(model, test.signals[i],
-                                      args.get("mutation"),
-                                      args.get_double("budget-l2"), rng);
+    const auto outcome =
+        fuzz_gesture(model, test.signals[i], mutation, budget_l2, rng);
     iterations.add(static_cast<double>(outcome.iterations));
     if (outcome.success) {
       ++successes;
@@ -194,7 +210,7 @@ int main(int argc, char** argv) {
   std::printf(
       "fuzzed %zu gestures with '%s': %zu adversarial (%.0f%%), avg %.2f "
       "iterations, avg L2 %.3f\n",
-      count, args.get("mutation").c_str(), successes,
+      count, mutation.c_str(), successes,
       100.0 * static_cast<double>(successes) / static_cast<double>(count),
       iterations.mean(), l2.mean());
   std::printf(

@@ -13,6 +13,7 @@
 ///   oracle      label(mutant) != label(original) — unchanged.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -153,44 +154,52 @@ int main(int argc, char** argv) {
   args.add_flag("max-edit", "0.15",
                 "Perturbation budget: max fraction of characters edited");
   args.add_flag("seed", "42", "Experiment seed");
+  // Every flag is read and converted before any work, so a malformed value
+  // exits 1 with one error line.
+  std::uint64_t seed = 0;
+  int languages = 0;
+  std::size_t ngram = 0;
+  std::uint64_t texts = 0;
+  double max_edit = 0.0;
+  hdc::ModelConfig config;
   try {
     args.parse(argc, argv);
+    if (args.help_requested()) {
+      std::cout << args.usage();
+      return 0;
+    }
+    seed = args.get_u64("seed");
+    languages = static_cast<int>(args.get_u64("languages"));
+    ngram = args.get_u64("ngram");
+    texts = args.get_u64("texts");
+    max_edit = args.get_double("max-edit");
+    config.dim = args.get_u64("dim");
   } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
+    std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  if (args.help_requested()) {
-    std::cout << args.usage();
-    return 0;
-  }
 
-  const auto seed = args.get_u64("seed");
-  const int languages = static_cast<int>(args.get_u64("languages"));
   // Same languages (seed), disjoint sample streams (salt 0 vs 1).
   const auto train =
       data::make_text_dataset(languages, 50, 200, seed, 3.0, /*salt=*/0);
   const auto test =
       data::make_text_dataset(languages, 20, 200, seed, 3.0, /*salt=*/1);
 
-  hdc::ModelConfig config;
-  config.dim = args.get_u64("dim");
   config.seed = seed;
-  LanguageClassifier model(config, static_cast<std::size_t>(languages),
-                           args.get_u64("ngram"));
+  LanguageClassifier model(config, static_cast<std::size_t>(languages), ngram);
   model.fit(train);
   std::printf("language model: %d languages, %zu-gram, accuracy %.1f%%\n",
-              languages, args.get_u64("ngram"), 100.0 * model.accuracy(test));
+              languages, ngram, 100.0 * model.accuracy(test));
 
   util::Rng rng(seed);
   util::RunningStats iterations;
   util::RunningStats edits;
   std::size_t successes = 0;
-  const auto count = std::min<std::size_t>(args.get_u64("texts"), test.size());
+  const auto count = std::min<std::size_t>(texts, test.size());
   std::string first_original;
   std::string first_adversarial;
   for (std::size_t i = 0; i < count; ++i) {
-    const auto outcome = fuzz_text(model, test.samples[i].text,
-                                   args.get_double("max-edit"), rng);
+    const auto outcome = fuzz_text(model, test.samples[i].text, max_edit, rng);
     iterations.add(static_cast<double>(outcome.iterations));
     if (outcome.success) {
       ++successes;

@@ -12,9 +12,11 @@
 /// Run: ./quickstart [--dim=4096] [--train=100] [--test=50] [--images=20]
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
+#include <memory>
 #include <random>
 
 #include "data/synthetic_digits.hpp"
@@ -36,28 +38,39 @@ int main(int argc, char** argv) {
   args.add_flag("images", "20", "Images to fuzz");
   args.add_flag("strategy", "gauss", "Mutation strategy");
   args.add_flag("seed", "42", "Experiment seed");
+  // Every flag is read and converted before any work, so a malformed value
+  // exits 1 with one error line.
+  std::uint64_t seed = 0;
+  std::uint64_t train_per_class = 0;
+  std::uint64_t test_per_class = 0;
+  hdc::ModelConfig config;
+  std::unique_ptr<fuzz::MutationStrategy> strategy;
+  fuzz::CampaignConfig campaign_config;
   try {
     args.parse(argc, argv);
+    if (args.help_requested()) {
+      std::cout << args.usage();
+      return 0;
+    }
+    seed = args.get_u64("seed");
+    train_per_class = args.get_u64("train");
+    test_per_class = args.get_u64("test");
+    config.dim = args.get_u64("dim");
+    strategy = fuzz::make_strategy(args.get("strategy"));
+    campaign_config.max_images = args.get_u64("images");
   } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
+    std::cerr << "error: " << e.what() << "\n";
     return 1;
-  }
-  if (args.help_requested()) {
-    std::cout << args.usage();
-    return 0;
   }
 
   // 1. Data: synthetic 28x28 digits (drop-in replaceable with real MNIST via
   //    data::load_mnist_dataset — see examples/fuzz_campaign.cpp).
-  const auto seed = args.get_u64("seed");
-  const auto pair = data::make_digit_train_test(args.get_u64("train"),
-                                                args.get_u64("test"), seed);
+  const auto pair =
+      data::make_digit_train_test(train_per_class, test_per_class, seed);
   std::printf("dataset: %zu train / %zu test images\n", pair.train.size(),
               pair.test.size());
 
   // 2. Model: paper section III with default (random) value memory.
-  hdc::ModelConfig config;
-  config.dim = args.get_u64("dim");
   config.seed = seed;
   hdc::HdcClassifier model(config, 28, 28, 10);
 
@@ -122,15 +135,12 @@ int main(int argc, char** argv) {
               mapped_labels.size());
 
   // 4. Fuzz: HDTest with the chosen strategy over a few test images.
-  const auto strategy = fuzz::make_strategy(args.get("strategy"));
   fuzz::FuzzConfig fuzz_config;  // paper defaults: guided, top-3
   // L2 <= 1 for pixel strategies; unlimited for shift (paper section V-B).
   fuzz_config.budget = fuzz::default_budget_for_strategy(strategy->name());
   const fuzz::Fuzzer fuzzer(model, *strategy, fuzz_config);
 
-  fuzz::CampaignConfig campaign_config;
   campaign_config.fuzz = fuzz_config;
-  campaign_config.max_images = args.get_u64("images");
   campaign_config.seed = seed;
   const auto campaign =
       fuzz::run_campaign(fuzzer, pair.test, campaign_config);

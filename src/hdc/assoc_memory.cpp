@@ -45,20 +45,6 @@ void AssociativeMemory::add_packed(std::size_t cls, const PackedHv& hv,
   finalized_ = false;
 }
 
-void AssociativeMemory::load_accumulator(std::size_t cls,
-                                         Accumulator accumulator) {
-  if (cls >= accumulators_.size()) {
-    throw std::out_of_range(
-        "AssociativeMemory::load_accumulator: class index out of range");
-  }
-  if (accumulator.dim() != dim_) {
-    throw std::invalid_argument(
-        "AssociativeMemory::load_accumulator: dimension mismatch");
-  }
-  accumulators_[cls] = std::move(accumulator);
-  finalized_ = false;
-}
-
 void AssociativeMemory::restore_finalized(std::vector<Accumulator> accumulators,
                                           PackedAssocMemory packed) {
   if (accumulators.size() != accumulators_.size()) {

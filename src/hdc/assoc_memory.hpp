@@ -46,14 +46,9 @@ class AssociativeMemory {
   /// \throws std::out_of_range / std::invalid_argument on bad class or dim.
   void add_packed(std::size_t cls, const PackedHv& hv, int weight = 1);
 
-  /// Replaces one class's accumulator wholesale (checkpoint loading).
-  /// Invalidates finalization.
-  /// \throws std::out_of_range / std::invalid_argument on bad class or dim.
-  void load_accumulator(std::size_t cls, Accumulator accumulator);
-
   /// Restores the complete finalized state from a checkpoint: accumulators
   /// plus the packed prototype snapshot, skipping the bipolarize + dense->
-  /// packed rebuild that finalize() performs (serialize format v2). The
+  /// packed rebuild that finalize() performs (hdc::load_model). The
   /// dense class HVs are unpacked from the snapshot — exact, because packed
   /// rows are lossless images of the bipolar prototypes. \pre \p packed was
   /// built from the accumulators' own bipolarization (the saver guarantees

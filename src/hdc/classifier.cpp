@@ -72,21 +72,6 @@ void HdcClassifier::fit_encoded(std::span<const PackedHv> queries,
                  " cached queries, D=", encoder_.dim());
 }
 
-void HdcClassifier::restore_accumulators(std::vector<Accumulator> accumulators) {
-  if (trained()) {
-    throw std::logic_error(
-        "HdcClassifier::restore_accumulators: model already trained");
-  }
-  if (accumulators.size() != am_.num_classes()) {
-    throw std::invalid_argument(
-        "HdcClassifier::restore_accumulators: class count mismatch");
-  }
-  for (std::size_t c = 0; c < accumulators.size(); ++c) {
-    am_.load_accumulator(c, std::move(accumulators[c]));
-  }
-  am_.finalize();
-}
-
 void HdcClassifier::restore_trained(std::vector<Accumulator> accumulators,
                                     PackedAssocMemory packed) {
   if (trained()) {

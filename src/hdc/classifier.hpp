@@ -80,16 +80,9 @@ class HdcClassifier {
   void fit_encoded(std::span<const PackedHv> queries,
                    std::span<const int> labels);
 
-  /// Restores associative-memory state from checkpointed accumulators (one
-  /// per class) and finalizes. Used by hdc::load_model for v1 files (the
-  /// class HVs and the packed snapshot are rebuilt from the accumulators).
-  /// \throws std::logic_error if already trained; std::invalid_argument on
-  ///         class-count or dimension mismatch.
-  void restore_accumulators(std::vector<Accumulator> accumulators);
-
   /// Restores the full trained state — accumulators AND the packed
   /// prototype snapshot — without any bipolarize or dense->packed rebuild.
-  /// Used by hdc::load_model for v2 files, which store the packed words.
+  /// Used by hdc::load_model, whose files store the packed words.
   /// \throws std::logic_error if already trained; std::invalid_argument on
   ///         any shape/similarity mismatch (see
   ///         AssociativeMemory::restore_finalized).

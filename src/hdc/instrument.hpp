@@ -28,9 +28,9 @@ struct EncodeCounters {
   /// (one walk per fuzz_one — the parent seed's fitness — is expected).
   std::atomic<std::uint64_t> am_row_walks{0};
   /// Dense-prototype -> packed PackedAssocMemory rebuilds (the from_dense
-  /// packing constructor). Serialize format v2 stores the packed words, so
-  /// loading a v2 model must perform zero rebuilds (asserted by the
-  /// serialize tests); finalize() after training/retraining still rebuilds.
+  /// packing constructor). Model files store the packed words, so loading
+  /// one must perform zero rebuilds (asserted by the serialize tests);
+  /// finalize() after training/retraining still rebuilds.
   std::atomic<std::uint64_t> packed_am_rebuilds{0};
   /// ItemMemory codebook generations (the seeded random construction: one
   /// per position/value/symbol memory built). A serving process on the

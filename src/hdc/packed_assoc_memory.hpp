@@ -59,8 +59,8 @@ class PackedAssocMemory {
   PackedAssocMemory(std::span<const Hypervector> class_hvs,
                     Similarity similarity);
 
-  /// Rehydrates from already-packed prototype words (serialize.cpp's v2/v3
-  /// stream fast path: a stored model restores its packed snapshot verbatim,
+  /// Rehydrates from already-packed prototype words (serialize.cpp's stream
+  /// load path: a stored model restores its packed snapshot verbatim,
   /// no dense bipolarize/re-pack). \p words holds num_classes rows of
   /// words_for_bits(dim) words each, row-major — exactly what a loop over
   /// class_words() of the saved instance concatenates.

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -75,7 +74,7 @@ enum SectionKind : std::uint32_t {
 constexpr std::uint32_t kHeaderFlagRematCodebooks = 1u << 0;
 constexpr std::uint32_t kKnownHeaderFlags = kHeaderFlagRematCodebooks;
 
-/// All formats are little-endian on disk; a big-endian host would need a
+/// The format is little-endian on disk; a big-endian host would need a
 /// swapping layer nobody has asked for yet, so reject it cleanly instead of
 /// silently writing/reading corrupt words.
 void require_little_endian(const char* who) {
@@ -100,14 +99,13 @@ std::size_t checked_mul(std::size_t a, std::size_t b, const char* what) {
                            (std::string("load_model: ") + what).c_str());
 }
 
-std::size_t align_up(std::size_t value, std::size_t align) {
-  return (value + align - 1) / align * align;
+[[noreturn]] void throw_unsupported_version(std::uint32_t version) {
+  throw std::runtime_error("load_model: unsupported format version " +
+                           std::to_string(version));
 }
 
-template <typename T>
-void put(std::ostream& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
+std::size_t align_up(std::size_t value, std::size_t align) {
+  return (value + align - 1) / align * align;
 }
 
 void append_bytes(std::string& out, const void* data, std::size_t size) {
@@ -156,7 +154,7 @@ class BufReader {
 };
 // NOLINTEND(hdtest-checked-arith)
 
-/// Plausibility caps shared by every reader: a corrupt or hostile file must
+/// Plausibility caps shared by both loaders: a corrupt or hostile file must
 /// throw before any size it declares turns into an allocation.
 void check_shape_fields(std::size_t classes, std::size_t width,
                         std::size_t height, std::size_t dim,
@@ -168,13 +166,14 @@ void check_shape_fields(std::size_t classes, std::size_t width,
       checked_mul(width, height, "image shape") > (std::size_t{1} << 26)) {
     throw std::runtime_error("load_model: implausible image shape");
   }
-  // Constructing the model regenerates the dense codebooks — width*height
-  // position entries and value_levels value entries of dim bytes each —
-  // which v1/v2 files do not store, so their sizes are not bounded by the
-  // payload checks. Cap the element counts so a kilobyte-sized hostile file
-  // cannot demand a multi-hundred-GiB allocation (2^30 elements = a 1 GiB
-  // dense codebook, far beyond any model this codebase trains, e.g.
-  // 28*28*10000 ~= 2^23).
+  // A stream load constructs an HdcClassifier, which regenerates the dense
+  // codebooks from the seed — width*height position entries and
+  // value_levels value entries of dim bytes each. Those dense rows are never
+  // stored (a remat file omits even the packed mirrors), so their sizes are
+  // not bounded by the section-size checks. Cap the element counts so a
+  // kilobyte-sized hostile file cannot demand a multi-hundred-GiB allocation
+  // (2^30 elements = a 1 GiB dense codebook, far beyond any model this
+  // codebase trains, e.g. 28*28*10000 ~= 2^23).
   if (checked_mul(checked_mul(width, height, "image shape"), dim,
                   "codebook") > (std::size_t{1} << 30) ||
       checked_mul(value_levels, dim, "value codebook") >
@@ -206,127 +205,6 @@ ModelConfig read_config_fields(BufReader& reader) {
     throw std::runtime_error(std::string("load_model: ") + error.what());
   }
   return config;
-}
-
-// ---------------------------------------------------------------------------
-// Legacy v1/v2 stream format.
-
-void save_legacy(const HdcClassifier& model, std::ostream& out,
-                 std::uint32_t version) {
-  // Serialize the payload into a buffer first so the checksum can follow it.
-  std::ostringstream payload;
-  const auto& config = model.config();
-  put(payload, static_cast<std::uint64_t>(config.dim));
-  put(payload, config.seed);
-  put(payload, static_cast<std::uint64_t>(config.value_levels));
-  put(payload, static_cast<std::uint32_t>(config.value_strategy));
-  put(payload, static_cast<std::uint32_t>(config.similarity));
-  put(payload, static_cast<std::uint64_t>(model.encoder().width()));
-  put(payload, static_cast<std::uint64_t>(model.encoder().height()));
-  put(payload, static_cast<std::uint64_t>(model.num_classes()));
-  for (std::size_t c = 0; c < model.num_classes(); ++c) {
-    const auto lanes = model.am().accumulator(c).lanes();
-    payload.write(reinterpret_cast<const char*>(lanes.data()),
-                  static_cast<std::streamsize>(lanes.size_bytes()));
-  }
-  if (version >= 2) {
-    // v2 packed artifact section: slice parameters + the finalized packed
-    // prototype rows, verbatim, so loading restores the packed snapshot
-    // without a dense->packed rebuild.
-    const auto& packed = model.am().packed();
-    const std::size_t stride = util::words_for_bits(packed.dim());
-    put(payload, static_cast<std::uint64_t>(stride));
-    const auto words = packed.words();
-    payload.write(reinterpret_cast<const char*>(words.data()),
-                  static_cast<std::streamsize>(words.size_bytes()));
-  }
-  const std::string bytes = payload.str();
-
-  out.write(kMagic, sizeof kMagic);
-  put(out, version);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  put(out, fnv1a(bytes));
-}
-
-HdcClassifier load_legacy(std::uint32_t version, const std::string& tail) {
-  // tail = payload | u64 checksum. Verify before interpreting anything.
-  if (tail.size() < sizeof(std::uint64_t)) {
-    throw std::runtime_error("load_model: truncated payload");
-  }
-  std::uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum,
-              tail.data() + tail.size() - sizeof stored_checksum,
-              sizeof stored_checksum);
-  const std::size_t payload_size = tail.size() - sizeof stored_checksum;
-  if (fnv1a(tail.data(), payload_size) != stored_checksum) {
-    throw std::runtime_error("load_model: checksum mismatch (corrupt file)");
-  }
-
-  BufReader reader(std::as_bytes(std::span(tail.data(), payload_size)));
-  const ModelConfig config = read_config_fields(reader);
-  const auto width = static_cast<std::size_t>(reader.get<std::uint64_t>("width"));
-  const auto height = static_cast<std::size_t>(reader.get<std::uint64_t>("height"));
-  const auto classes =
-      static_cast<std::size_t>(reader.get<std::uint64_t>("num_classes"));
-  check_shape_fields(classes, width, height, config.dim,
-                     config.value_levels);
-  // Every size from here on is validated against the remaining payload
-  // BEFORE allocating: a checksum-valid but hostile dim/class/stride field
-  // must throw, not OOM.
-  const std::size_t lane_bytes =
-      checked_mul(checked_mul(classes, config.dim, "accumulator"), sizeof(std::int32_t),
-                  "accumulator");
-  if (reader.remaining() < lane_bytes) {
-    throw std::runtime_error("load_model: truncated accumulator lanes");
-  }
-
-  HdcClassifier model(config, width, height, classes);
-  std::vector<Accumulator> accumulators;
-  accumulators.reserve(classes);
-  for (std::size_t c = 0; c < classes; ++c) {
-    std::vector<std::int32_t> lanes(config.dim);
-    reader.read_into(lanes.data(), std::span(lanes).size_bytes(),
-                     "accumulator lanes");
-    accumulators.push_back(Accumulator::from_lanes(std::move(lanes)));
-  }
-  if (version == 1) {
-    if (reader.remaining() != 0) {
-      throw std::runtime_error("load_model: trailing bytes after v1 payload");
-    }
-    // Legacy file: only the accumulators were stored — rebuild the class
-    // HVs and the packed snapshot via finalize().
-    model.restore_accumulators(std::move(accumulators));
-    return model;
-  }
-
-  // v2: restore the finalized packed snapshot verbatim (no rebuild).
-  const auto stride =
-      static_cast<std::size_t>(reader.get<std::uint64_t>("packed stride"));
-  if (stride != util::words_for_bits(config.dim)) {
-    throw std::runtime_error("load_model: packed stride does not match dim");
-  }
-  const std::size_t word_count = checked_mul(classes, stride, "packed words");
-  const std::size_t word_bytes =
-      checked_mul(word_count, sizeof(std::uint64_t), "packed words");
-  if (reader.remaining() < word_bytes) {
-    throw std::runtime_error("load_model: truncated packed prototypes");
-  }
-  std::vector<std::uint64_t> words(word_count);
-  reader.read_into(words.data(), word_bytes, "packed prototypes");
-  if (reader.remaining() != 0) {
-    throw std::runtime_error("load_model: trailing bytes after v2 payload");
-  }
-  try {
-    model.restore_trained(
-        std::move(accumulators),
-        PackedAssocMemory(config.dim, classes, config.similarity,
-                          std::move(words)));
-  } catch (const std::invalid_argument& error) {
-    // Shape/padding problems in a checksum-valid file are malformed input,
-    // not programmer error — surface them as such.
-    throw std::runtime_error(std::string("load_model: ") + error.what());
-  }
-  return model;
 }
 
 // ---------------------------------------------------------------------------
@@ -492,11 +370,7 @@ ParsedV3 parse_v3(std::span<const std::byte> file, bool verify_checksum) {
     throw std::runtime_error("load_model: bad magic (not an HDTest model)");
   }
   const auto version = header.get<std::uint32_t>("header");
-  if (version != 3) {
-    throw std::runtime_error(
-        "load_model: format version " + std::to_string(version) +
-        " is not a v3 (mmap-able) layout");
-  }
+  if (version != kModelFormatVersion) throw_unsupported_version(version);
   const auto endian = header.get<std::uint32_t>("header");
   if (endian != kEndianMarker) {
     throw std::runtime_error(
@@ -775,27 +649,17 @@ HdcClassifier load_v3_buffer(std::span<const std::byte> file) {
 
 }  // namespace
 
-void save_model(const HdcClassifier& model, std::ostream& out,
-                std::uint32_t version) {
+void save_model(const HdcClassifier& model, std::ostream& out) {
   require_little_endian("save_model");
   if (!model.trained()) {
     throw std::logic_error("save_model: model is not trained");
   }
-  if (version < kOldestReadableModelVersion || version > kModelFormatVersion) {
-    throw std::invalid_argument("save_model: cannot write format version " +
-                                std::to_string(version));
-  }
-  if (version <= 2) {
-    save_legacy(model, out, version);
-  } else {
-    const std::string file = build_v3_file(model);
-    out.write(file.data(), static_cast<std::streamsize>(file.size()));
-  }
+  const std::string file = build_v3_file(model);
+  out.write(file.data(), static_cast<std::streamsize>(file.size()));
   if (!out) throw std::runtime_error("save_model: write failed");
 }
 
-void save_model(const HdcClassifier& model, const std::string& path,
-                std::uint32_t version) {
+void save_model(const HdcClassifier& model, const std::string& path) {
   // Crash-safe save: write a temp file, fsync it, rename over the
   // destination, fsync the directory. A power cut at any point leaves
   // either the old model or the complete new one on disk — never a torn
@@ -806,7 +670,7 @@ void save_model(const HdcClassifier& model, const std::string& path,
     if (!out) {
       throw std::runtime_error("save_model: cannot open " + tmp_path);
     }
-    save_model(model, out, version);
+    save_model(model, out);
     // Close explicitly: buffered bytes are flushed by the destructor too,
     // but the destructor swallows failures — an ENOSPC surfacing at close
     // would otherwise leave a silently truncated model on disk.
@@ -838,8 +702,8 @@ void save_model(const HdcClassifier& model, const std::string& path,
 HdcClassifier load_model(std::istream& in) {
   require_little_endian("load_model");
   // Magic and version gate BEFORE the payload is pulled into memory: a file
-  // that is not ours, or a version we cannot read, is rejected on its first
-  // eight bytes.
+  // that is not ours, or any version but the current one, is rejected on its
+  // first eight bytes.
   char magic[4] = {};
   in.read(magic, sizeof magic);
   if (!in || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
@@ -850,25 +714,14 @@ HdcClassifier load_model(std::istream& in) {
   if (!in) {
     throw std::runtime_error("load_model: truncated version");
   }
-  if (version < kOldestReadableModelVersion ||
-      version > kModelFormatVersion) {
-    throw std::runtime_error("load_model: unsupported format version " +
-                             std::to_string(version));
-  }
+  if (version != kModelFormatVersion) throw_unsupported_version(version);
 
-  // One buffer, one pass: the v3 path needs the full file image back
-  // (header included), the legacy path just the tail — seed the buffer
-  // accordingly instead of concatenating a second full-size copy.
-  std::string buffer;
-  if (version > 2) {
-    buffer.append(magic, sizeof magic);
-    buffer.append(reinterpret_cast<const char*>(&version), sizeof version);
-  }
+  // One buffer, one pass: the parser needs the full file image back, header
+  // included, so seed the buffer with the eight bytes already consumed.
+  std::string buffer(magic, sizeof magic);
+  buffer.append(reinterpret_cast<const char*>(&version), sizeof version);
   buffer.append(std::istreambuf_iterator<char>(in),
                 std::istreambuf_iterator<char>());
-  if (version <= 2) {
-    return load_legacy(version, buffer);
-  }
   return load_v3_buffer(std::as_bytes(std::span(buffer.data(), buffer.size())));
 }
 

@@ -5,44 +5,37 @@
 /// A trained HDC model stores its configuration, the associative-memory
 /// accumulators (so a loaded model can continue retraining exactly where it
 /// left off — the defense workflow of section V-D across process restarts),
-/// and — from format v2 on — the packed inference artifacts.
+/// and the packed inference artifacts.
 ///
-/// Three formats are readable; v3 is written by default:
+/// There is one format, v3, written by save_model and read by both loaders:
+/// a chunked, 64-byte-aligned, explicitly little-endian layout built for
+/// mmap. A fixed 64-byte header (magic, version, endianness marker, file
+/// size, flags, whole-file checksum) is followed by a section table and
+/// self-describing sections — config, accumulator lanes, the packed AM rows,
+/// the packed item-memory codebook mirrors, and the packed tie-break words.
+/// Every section payload is 64-byte aligned, so a read-only mapping can
+/// serve the AM rows and codebooks in place. A file whose header names any
+/// other version (including the retired v1/v2 stream layouts) is rejected
+/// on its first eight bytes.
 ///
-///  v1  magic "HDTM" | u32 version | config fields | shape | num_classes |
-///      per-class accumulator lanes (i32) | u64 FNV-1a payload checksum.
-///      Loading rebuilds the class HVs and the packed snapshot.
-///  v2  v1 plus a packed artifact section (words-per-row stride + every
-///      class prototype's sign-bit words): loading restores the finalized
-///      packed snapshot verbatim, zero dense->packed rebuilds.
-///  v3  a chunked, 64-byte-aligned, explicitly little-endian layout built
-///      for mmap: a fixed 64-byte header (magic, version, endianness
-///      marker, file size, flags, whole-file checksum) followed by a
-///      section table and self-describing sections — config, accumulator
-///      lanes, the packed AM rows, the packed item-memory codebook mirrors,
-///      and the packed tie-break words. Every section payload is 64-byte
-///      aligned, so a read-only mapping can serve the AM rows and codebooks
-///      in place.
+/// A model trained with CodebookMode::kRemat writes the *remat variant*
+/// (header flag bit 0): the position codebook mirror — by far the largest
+/// section — is omitted, as is the value mirror when the random value
+/// strategy can regenerate it row-by-row from the seed; a 16-byte
+/// codebook-digest section (FNV-1a over each mirror's packed words) rides
+/// along instead. Loaders rematerialize the dropped codebooks from the
+/// stored seed and verify them against the digests, so a wrong-seed or
+/// cross-version file fails loudly instead of mispredicting quietly.
+/// Correlated value strategies (level/thermometer) keep their value mirror
+/// stored even in remat mode. The file's storage mode wins on load: a remat
+/// file loads as a remat model and a stored file as a stored model,
+/// regardless of the loading process's HDTEST_CODEBOOK default. Pre-remat
+/// readers required the flags word to be zero, so they reject remat files
+/// with a clean "reserved header bytes" error.
 ///
-///      A model trained with CodebookMode::kRemat writes the *remat
-///      variant* of v3 (header flag bit 0): the position codebook mirror —
-///      by far the largest section — is omitted, as is the value mirror
-///      when the random value strategy can regenerate it row-by-row from
-///      the seed; a 16-byte codebook-digest section (FNV-1a over each
-///      mirror's packed words) rides along instead. Loaders rematerialize
-///      the dropped codebooks from the stored seed and verify them against
-///      the digests, so a wrong-seed or cross-version file fails loudly
-///      instead of mispredicting quietly. Correlated value strategies
-///      (level/thermometer) keep their value mirror stored even in remat
-///      mode. The file's storage mode wins on load: a remat file loads as
-///      a remat model and a stored file as a stored model, regardless of
-///      the loading process's HDTEST_CODEBOOK default. Pre-remat readers
-///      required the flags word to be zero, so they reject remat files
-///      with a clean "reserved header bytes" error.
-///
-/// Byte order: all three formats are little-endian on disk (v1/v2 de facto,
-/// v3 by contract with a header marker). Big-endian hosts are cleanly
-/// rejected by both save and load rather than silently corrupting.
+/// Byte order: the file is little-endian by contract, with a header marker.
+/// Big-endian hosts are cleanly rejected by both save and load rather than
+/// silently corrupting.
 ///
 /// Loading validates magic, version, endianness, checksums, and every
 /// section's declared size against the actual payload *before* allocating
@@ -71,32 +64,25 @@
 
 namespace hdtest::hdc {
 
-/// Current serialization format version.
+/// The serialization format version: the only one written and read.
 inline constexpr std::uint32_t kModelFormatVersion = 3;
 
-/// Oldest version load_model still reads.
-inline constexpr std::uint32_t kOldestReadableModelVersion = 1;
-
-/// Writes a trained model to a stream. \p version selects the format
-/// (default: current; 1/2 write the legacy stream layouts — kept so fleets
-/// mid-upgrade can still exchange models, and so tests can cover the
-/// compatibility paths).
+/// Writes a trained model to a stream in the current format.
 /// \throws std::logic_error if the model is untrained;
-///         std::invalid_argument for an unwritable version;
 ///         std::runtime_error on I/O failure or a big-endian host.
-void save_model(const HdcClassifier& model, std::ostream& out,
-                std::uint32_t version = kModelFormatVersion);
+void save_model(const HdcClassifier& model, std::ostream& out);
 
-/// Writes a trained model to a file.
-void save_model(const HdcClassifier& model, const std::string& path,
-                std::uint32_t version = kModelFormatVersion);
+/// Writes a trained model to a file, crash-safely (temp file, fsync,
+/// rename): a crash leaves either the old file or the complete new one.
+void save_model(const HdcClassifier& model, const std::string& path);
 
-/// Reads a model from a stream (any readable version). The returned model
-/// is finalized and ready for prediction and further retraining; v2/v3
-/// restore the packed snapshot verbatim (zero rebuilds), while the
-/// encoder's codebooks regenerate from the stored seed (use MappedModel to
-/// avoid that too).
-/// \throws std::runtime_error on malformed input.
+/// Reads a model from a stream. The returned model is finalized and ready
+/// for prediction and further retraining; the packed snapshot is restored
+/// verbatim (zero rebuilds), while the encoder's codebooks regenerate from
+/// the stored seed (use MappedModel to avoid that too).
+/// \throws std::runtime_error on malformed input, including any format
+///         version other than kModelFormatVersion ("unsupported format
+///         version N").
 [[nodiscard]] HdcClassifier load_model(std::istream& in);
 
 /// Reads a model from a file.
@@ -129,8 +115,8 @@ struct MapOptions {
 class MappedModel {
  public:
   /// Maps \p path and validates the layout.
-  /// \throws std::runtime_error on I/O failure, a non-v3 file, a byte-order
-  /// mismatch, or any structural/checksum validation failure.
+  /// \throws std::runtime_error on I/O failure, an unsupported version, a
+  /// byte-order mismatch, or any structural/checksum validation failure.
   explicit MappedModel(const std::string& path, MapOptions options = {});
 
   MappedModel(MappedModel&&) noexcept = default;

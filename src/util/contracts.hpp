@@ -20,19 +20,13 @@
 /// tools/hdtest-tidy turns these into build-time diagnostics (checks
 /// hdtest-determinism, hdtest-dense-free, hdtest-checked-arith,
 /// hdtest-intrinsics-confined). The macro below is how source opts into the
-/// dense-free check; it compiles to nothing where the attribute is
-/// unsupported, so GCC builds are unaffected.
+/// dense-free check; it expands to nothing on every compiler.
 
 /// Marks a function as part of the fuzz loop's steady-state hot path: the
 /// hdtest-dense-free check walks the annotated function and every
 /// statically resolved callee, flagging dense Hypervector construction,
 /// PackedHv::from_dense, and explicit heap allocation (new / malloc /
 /// make_unique / make_shared). Place it directly before the declaration
-/// and repeat it on the out-of-line definition so both lint engines (the
-/// clang-tidy plugin reads the attribute, the fallback engine reads the
-/// token) see it wherever they look.
-#if defined(__clang__)
-#define HDTEST_HOT_PATH [[clang::annotate("hdtest::hot_path")]]
-#else
+/// and repeat it on the out-of-line definition: the checker reads the
+/// macro token itself, wherever it looks.
 #define HDTEST_HOT_PATH
-#endif

@@ -6,10 +6,10 @@
 // Two build modes share this file:
 //
 //   * libFuzzer (clang, -DHDTEST_LIBFUZZER=ON): LLVMFuzzerTestOneInput is
-//     the entry point; seed the corpus with the v1/v2/v3 files this binary
-//     writes when run with --emit-corpus DIR.
+//     the entry point; seed the corpus with the stored and remat model files
+//     this binary writes when run with --emit-corpus DIR.
 //   * standalone (default; works under GCC, which ships no libFuzzer): main()
-//     generates the three seed artifacts from a tiny trained model, then
+//     generates the two seed artifacts from a tiny trained model, then
 //     runs a deterministic bounded mutation loop (util::Rng, fixed seed)
 //     over them. This is what ctest runs, so the ASan/UBSan CI legs police
 //     the deserializers on every push.
@@ -83,19 +83,23 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
 namespace {
 
-/// Serialized v1/v2/v3 artifacts of one tiny trained model — realistic
-/// headers, section tables, and checksums for the mutator to break.
+/// The two layouts of one tiny trained model — stored codebook mirrors, and
+/// remat (mirrors dropped, flag bit and digest section present) — so every
+/// build fuzzes both sets of section-presence rules, whatever the process's
+/// HDTEST_CODEBOOK default. Realistic headers, section tables, and checksums
+/// for the mutator to break.
 std::vector<std::string> make_seed_corpus() {
-  hdtest::hdc::ModelConfig config;
-  config.dim = 512;  // small but structurally complete
   const auto dataset = hdtest::data::make_digit_dataset(4, /*seed=*/17);
-  hdtest::hdc::HdcClassifier model(config, 28, 28, 10);
-  model.fit(dataset);
-
   std::vector<std::string> corpus;
-  for (const std::uint32_t version : {1u, 2u, 3u}) {
+  for (const auto mode : {hdtest::hdc::CodebookMode::kStored,
+                          hdtest::hdc::CodebookMode::kRemat}) {
+    hdtest::hdc::ModelConfig config;
+    config.dim = 512;  // small but structurally complete
+    config.codebook = mode;
+    hdtest::hdc::HdcClassifier model(config, 28, 28, 10);
+    model.fit(dataset);
     std::ostringstream out;
-    hdtest::hdc::save_model(model, out, version);
+    hdtest::hdc::save_model(model, out);
     corpus.push_back(out.str());
   }
   return corpus;
@@ -188,7 +192,8 @@ int main(int argc, char** argv) {
   const auto corpus = make_seed_corpus();
   if (!emit_dir.empty()) {
     for (std::size_t i = 0; i < corpus.size(); ++i) {
-      const std::string path = emit_dir + "/seed_v" + std::to_string(i + 1);
+      const std::string path =
+          emit_dir + (i == 0 ? "/seed_stored" : "/seed_remat");
       std::ofstream out(path, std::ios::binary);
       out.write(corpus[i].data(),
                 static_cast<std::streamsize>(corpus[i].size()));
@@ -197,9 +202,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // The pristine artifacts must load; run them first so a serializer
-  // regression fails loudly rather than hiding among mutants.
+  // The pristine artifacts must load; check them first so a serializer
+  // regression fails loudly rather than hiding among mutants (probe()
+  // swallows exceptions by design).
   for (const auto& artifact : corpus) {
+    std::istringstream in(artifact);
+    try {
+      (void)hdtest::hdc::load_model(in);
+    } catch (const std::exception& e) {
+      std::cerr << "pristine seed artifact failed to load: " << e.what()
+                << "\n";
+      return 1;
+    }
     probe(reinterpret_cast<const std::uint8_t*>(artifact.data()),
           artifact.size());
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -169,16 +170,28 @@ TEST(MappedModel, VerifyChecksumOffStillServesIdentically) {
 }
 
 TEST(MappedModel, RejectsLegacyFormatsAndMissingFiles) {
-  const auto model = trained_model();
+  // A retired v1/v2 header is refused before anything past it is read, with
+  // an error naming the version.
   for (const std::uint32_t version : {1u, 2u}) {
     const auto path =
         (std::filesystem::temp_directory_path() /
          ("hdtest_mapped_legacy_v" + std::to_string(version) + ".hdtm"))
             .string();
-    save_model(model, path, version);
-    EXPECT_THROW(MappedModel{path}, std::runtime_error);
-    // The stream loader still reads them.
-    EXPECT_NO_THROW((void)load_model(path));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write("HDTM", 4);
+      out.write(reinterpret_cast<const char*>(&version), sizeof version);
+      out << std::string(256, '\x5a');
+    }
+    const std::string expected =
+        "unsupported format version " + std::to_string(version);
+    try {
+      const MappedModel mapped(path);
+      ADD_FAILURE() << "v" << version << " header mapped";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(expected), std::string::npos)
+          << error.what();
+    }
     std::filesystem::remove(path);
   }
   EXPECT_THROW(MappedModel{"/nonexistent_zzz/model.hdtm"}, std::runtime_error);

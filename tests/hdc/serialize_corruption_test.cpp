@@ -1,6 +1,6 @@
 // Serializer corruption suite: random byte-flips, truncations at every
-// section boundary, and hostile shape fields over formats v1/v2/v3 must all
-// throw std::runtime_error — never crash, never OOM, never load silently
+// section boundary, and hostile shape fields must all throw
+// std::runtime_error — never crash, never OOM, never load silently
 // wrong data. Runs under the Debug+ASan CI leg like every hdc suite.
 //
 // The hostile-field tests re-checksum their doctored files, so the
@@ -111,21 +111,6 @@ const std::string& v3_bytes() {
   return bytes;
 }
 
-const std::string& v2_bytes() {
-  static const std::string bytes = [] {
-    const auto pair = data::make_digit_train_test(10, 3, 404);
-    ModelConfig config;
-    config.dim = 256;
-    config.seed = 31;
-    HdcClassifier model(config, 28, 28, 10);
-    model.fit(pair.train);
-    std::ostringstream out;
-    save_model(model, out, /*version=*/2);
-    return out.str();
-  }();
-  return bytes;
-}
-
 void expect_stream_load_throws(const std::string& bytes) {
   std::istringstream in(bytes);
   EXPECT_THROW((void)load_model(in), std::runtime_error);
@@ -184,16 +169,6 @@ TEST(SerializeCorruption, V3MappedLoaderRejectsFlipsUnderVerification) {
   }
 }
 
-TEST(SerializeCorruption, V2RejectsEveryFlippedByte) {
-  const std::string& clean = v2_bytes();
-  for (std::size_t pos = 0; pos < clean.size();
-       pos += (pos < 64 ? 1 : 101)) {
-    std::string corrupt = clean;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x01);
-    expect_stream_load_throws(corrupt);
-  }
-}
-
 TEST(SerializeCorruption, TruncationAtEverySectionBoundary) {
   const std::string& clean = v3_bytes();
   const auto table = read_table(clean);
@@ -222,16 +197,6 @@ TEST(SerializeCorruption, TruncationAtEverySectionBoundary) {
   }
   // Trailing garbage is rejected too (file_bytes mismatch).
   expect_stream_load_throws(clean + std::string(16, '\0'));
-}
-
-TEST(SerializeCorruption, V2TruncationAtEveryFieldBoundary) {
-  const std::string& clean = v2_bytes();
-  // magic | version | config scalars | shape | lanes | stride | words | sum.
-  for (const std::size_t cut : {0ul, 3ul, 4ul, 8ul, 16ul, 24ul, 32ul, 40ul,
-                                48ul, 56ul, 64ul, clean.size() / 2,
-                                clean.size() - 9, clean.size() - 1}) {
-    expect_stream_load_throws(clean.substr(0, cut));
-  }
 }
 
 /// Doctors one config-section field of a valid v3 image, refreshes all
@@ -379,53 +344,6 @@ TEST(SerializeCorruption, StructuralDamageCaughtEvenWithVerificationOff) {
     with_temp_file(file, "noverify_hdr", [&](const std::string& path) {
       EXPECT_THROW((MappedModel{path, no_verify}), std::runtime_error);
     });
-  }
-}
-
-TEST(SerializeCorruption, HostileLegacyFieldsThrowBeforeAllocating) {
-  const std::string& clean = v2_bytes();
-  // Legacy payload layout after magic+version (offset 8): dim u64, seed u64,
-  // levels u64, strategy u32, similarity u32, width u64, height u64,
-  // classes u64, lanes..., stride u64, words..., checksum u64 (last 8).
-  const auto doctor = [&](std::size_t offset, std::uint64_t value) {
-    std::string file = clean;
-    write_at(file, offset, value);
-    const std::size_t payload = file.size() - 8 - 8;
-    write_at(file, file.size() - 8, fnv1a(file.data() + 8, payload));
-    expect_stream_load_throws(file);
-  };
-  doctor(8, 0);                        // dim = 0
-  doctor(8, std::uint64_t{1} << 61);   // dim huge: must throw, not OOM
-  doctor(24, 0);                       // value_levels = 0
-  doctor(32, 7);                       // invalid strategy enum
-  doctor(36, 7);                       // invalid similarity enum
-  doctor(40, 0);                       // width = 0
-  doctor(40, std::uint64_t{1} << 40);  // width huge
-  doctor(56, 0);                       // classes = 0
-  doctor(56, std::uint64_t{1} << 50);  // classes huge
-  doctor(56, 2'000'000);               // classes over the cap
-
-  // Width AND height at the per-axis cap: W*H passes the shape check but
-  // the codebook-regeneration budget (W*H*dim elements) must fire — v1/v2
-  // store no codebooks, so nothing else bounds that allocation.
-  {
-    std::string file = clean;
-    write_at(file, 40, std::uint64_t{8192});  // width
-    write_at(file, 48, std::uint64_t{8192});  // height
-    const std::size_t payload = file.size() - 8 - 8;
-    write_at(file, file.size() - 8, fnv1a(file.data() + 8, payload));
-    expect_stream_load_throws(file);
-  }
-  // Same budget for the value codebook (value_levels * dim).
-  {
-    std::string file = clean;
-    write_at(file, 8, std::uint64_t{1} << 28);  // dim
-    write_at(file, 24, std::uint64_t{4096});    // value_levels
-    write_at(file, 40, std::uint64_t{1});       // width
-    write_at(file, 48, std::uint64_t{1});       // height
-    const std::size_t payload = file.size() - 8 - 8;
-    write_at(file, file.size() - 8, fnv1a(file.data() + 8, payload));
-    expect_stream_load_throws(file);
   }
 }
 

@@ -332,20 +332,5 @@ TEST(SerializeRemat, EveryFlippedHeaderOrTableByteIsRejected) {
   expect_stream_load_throws(clean.substr(0, clean.size() - 1));
 }
 
-TEST(SerializeRemat, LegacyVersionsStillRoundTripRematModels) {
-  // v1/v2 never stored codebooks, so a remat model writes them unchanged;
-  // loading rebuilds from the seed with the process-default storage mode.
-  const auto model = trained(CodebookMode::kRemat);
-  for (const std::uint32_t version : {1u, 2u}) {
-    std::ostringstream out;
-    save_model(model, out, version);
-    std::istringstream in(out.str());
-    const auto loaded = load_model(in);
-    EXPECT_EQ(loaded.predict_batch(digits().test.images),
-              model.predict_batch(digits().test.images))
-        << "version=" << version;
-  }
-}
-
 }  // namespace
 }  // namespace hdtest::hdc

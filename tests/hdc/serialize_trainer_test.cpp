@@ -136,16 +136,20 @@ TEST(Serialize, RejectsBadMagicVersionAndCorruption) {
   }
 }
 
-TEST(Serialize, V2StoresPackedArtifactsAndSkipsRebuild) {
+TEST(Serialize, StreamLoadRestoresPackedSnapshotVerbatim) {
   const auto model = trained_model();
   std::stringstream buffer;
-  save_model(model, buffer);  // current version = 2
+  save_model(model, buffer);
+  std::uint32_t version = 0;
+  std::memcpy(&version, buffer.str().data() + 4, sizeof version);
+  ASSERT_EQ(version, kModelFormatVersion);
 
   instrument::reset();
   const auto loaded = load_model(buffer);
-  // The v2 path restores the packed snapshot verbatim: zero dense->packed
-  // PackedAssocMemory rebuilds during load (the encoder's packed codebook
-  // mirrors still regenerate from the seed; only the AM rebuild is on trial).
+  // The stream loader restores the stored packed AM rows verbatim: zero
+  // dense->packed PackedAssocMemory rebuilds during load (the encoder's
+  // packed codebook mirrors still regenerate from the seed; only the AM
+  // rebuild is on trial).
   EXPECT_EQ(instrument::packed_am_rebuilds(), 0u);
 
   // The snapshot is bit-identical to the saved model's.
@@ -163,102 +167,48 @@ TEST(Serialize, V2StoresPackedArtifactsAndSkipsRebuild) {
   }
 }
 
-TEST(Serialize, V1FilesStayReadable) {
-  const auto model = trained_model();
-  std::stringstream v1;
-  save_model(model, v1, /*version=*/1);
-
-  instrument::reset();
-  auto loaded = load_model(v1);
-  // Legacy path rebuilds the packed snapshot from the accumulators ...
-  EXPECT_GT(instrument::packed_am_rebuilds(), 0u);
-  // ... and still reproduces the model exactly, retraining included.
-  for (const auto& image : digits().test.images) {
-    EXPECT_EQ(loaded.predict(image), model.predict(image));
-  }
-  auto fresh = trained_model();
-  const auto extra = data::make_digit_dataset(3, 717);
-  EXPECT_EQ(loaded.retrain(extra), fresh.retrain(extra));
-}
-
-TEST(Serialize, V1AndV2LoadsAgreeExactly) {
-  const auto model = trained_model(21, Similarity::kHamming);
-  std::stringstream v1;
-  std::stringstream v2;
-  save_model(model, v1, /*version=*/1);
-  save_model(model, v2, /*version=*/2);
-  const auto from_v1 = load_model(v1);
-  const auto from_v2 = load_model(v2);
-  const auto& probe = digits().test.images[2];
-  EXPECT_EQ(from_v1.similarities(probe), from_v2.similarities(probe));
-  for (std::size_t c = 0; c < model.num_classes(); ++c) {
-    EXPECT_EQ(from_v1.am().class_hv(c), from_v2.am().class_hv(c));
-  }
-}
-
-TEST(Serialize, RejectsUnwritableAndUnreadableVersions) {
-  const auto model = trained_model();
-  std::ostringstream out;
-  EXPECT_THROW(save_model(model, out, /*version=*/0), std::invalid_argument);
-  EXPECT_THROW(save_model(model, out, kModelFormatVersion + 1),
-               std::invalid_argument);
-
-  // A future version must be refused on load even if the payload happens to
-  // parse — the version gate fires before any payload interpretation.
-  std::stringstream buffer;
-  save_model(model, buffer);
-  std::string bytes = buffer.str();
-  const std::uint32_t future = kModelFormatVersion + 1;
-  std::memcpy(bytes.data() + 4, &future, sizeof future);
-  std::istringstream in(bytes);
-  EXPECT_THROW((void)load_model(in), std::runtime_error);
-}
-
-TEST(Serialize, RejectsTruncatedPackedSection) {
+TEST(Serialize, RejectsEveryVersionButTheCurrent) {
+  // The retired v1/v2 stream layouts, a zero, and a future version are all
+  // refused on the first eight bytes by every loader, even when the payload
+  // behind the header is a perfectly valid current-format body.
   const auto model = trained_model();
   std::stringstream buffer;
   save_model(model, buffer);
-  const std::string bytes = buffer.str();
-  // Drop the checksum and part of the packed words, then re-checksum so
-  // only the structural truncation (not corruption) is on trial.
-  // Layout: magic(4) | version(4) | payload | checksum(8).
-  const std::string payload = bytes.substr(8, bytes.size() - 16);
-  const std::string cut_payload =
-      payload.substr(0, payload.size() - 3 * sizeof(std::uint64_t));
-  std::uint64_t checksum = 0xcbf29ce484222325ULL;
-  for (const char byte : cut_payload) {
-    checksum ^= static_cast<std::uint8_t>(byte);
-    checksum *= 0x100000001b3ULL;
+  const std::string current = buffer.str();
+  const auto path =
+      (std::filesystem::temp_directory_path() / "hdtest_model_version.hdtm")
+          .string();
+  for (const std::uint32_t version : {1u, 2u, 0u, kModelFormatVersion + 1}) {
+    std::string bytes = current;
+    std::memcpy(bytes.data() + 4, &version, sizeof version);
+    const std::string expected =
+        "unsupported format version " + std::to_string(version);
+    const auto expect_named = [&](const auto& load) {
+      try {
+        load();
+        ADD_FAILURE() << "version " << version << " loaded";
+      } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string(error.what()).find(expected), std::string::npos)
+            << error.what();
+      }
+    };
+    expect_named([&] {
+      std::istringstream in(bytes);
+      (void)load_model(in);
+    });
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    expect_named([&] { (void)load_model(path); });
+    expect_named([&] { (void)MappedModel(path); });
   }
-  std::string doctored = bytes.substr(0, 8) + cut_payload;
-  doctored.append(reinterpret_cast<const char*>(&checksum), sizeof checksum);
-  std::istringstream in(doctored);
-  EXPECT_THROW((void)load_model(in), std::runtime_error);
+  std::filesystem::remove(path);
 }
 
 TEST(Serialize, MissingFileThrows) {
   EXPECT_THROW((void)load_model("/nonexistent_zzz/model.bin"),
                std::runtime_error);
-}
-
-TEST(RestoreAccumulators, ValidatesInputs) {
-  ModelConfig config;
-  config.dim = 64;
-  HdcClassifier model(config, 4, 4, 3);
-  std::vector<Accumulator> wrong_count;
-  wrong_count.emplace_back(64);
-  EXPECT_THROW(model.restore_accumulators(std::move(wrong_count)),
-               std::invalid_argument);
-
-  std::vector<Accumulator> wrong_dim;
-  for (int i = 0; i < 3; ++i) wrong_dim.emplace_back(32);
-  EXPECT_THROW(model.restore_accumulators(std::move(wrong_dim)),
-               std::invalid_argument);
-
-  auto trained = trained_model();
-  std::vector<Accumulator> any;
-  for (int i = 0; i < 10; ++i) any.emplace_back(1024);
-  EXPECT_THROW(trained.restore_accumulators(std::move(any)), std::logic_error);
 }
 
 TEST(AccumulatorFromLanes, RoundTripsAndValidates) {

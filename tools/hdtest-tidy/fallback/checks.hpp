@@ -1,10 +1,8 @@
 #pragma once
 /// \file checks.hpp
 /// The four hdtest-tidy checks, implemented over the token-level source
-/// model. Each check mirrors the clang-tidy plugin check of the same name
-/// (tools/hdtest-tidy/plugin/) and emits identically-formatted diagnostics,
-/// so CI output and NOLINT suppressions are interchangeable between the two
-/// engines.
+/// model. Diagnostics use clang-tidy's format and check names, so NOLINT
+/// suppressions are spelled exactly as clang-tidy spells them.
 
 #include <string>
 #include <vector>

@@ -3,14 +3,12 @@
 /// Token-level model of a C++ source file for the hdtest-tidy fallback
 /// engine.
 ///
-/// The fallback engine runs where the clang-tidy plugin cannot (no clang
-/// AST headers in the toolchain), so it works on a faithful token stream
-/// instead of an AST: comments, string/char literals, and raw strings are
-/// stripped (never matched by checks), preprocessor lines are kept
-/// separately (the intrinsics check needs include lines), and clang-tidy's
-/// NOLINT / NOLINTNEXTLINE / NOLINTBEGIN / NOLINTEND suppression comments
-/// are honored with the same syntax, so a suppression written for the
-/// plugin also silences the fallback.
+/// The engine needs no clang AST headers, so it works on a faithful token
+/// stream instead of an AST: comments, string/char literals, and raw
+/// strings are stripped (never matched by checks), preprocessor lines are
+/// kept separately (the intrinsics check needs include lines), and
+/// clang-tidy's NOLINT / NOLINTNEXTLINE / NOLINTBEGIN / NOLINTEND
+/// suppression comments are honored with the same syntax.
 
 #include <cstddef>
 #include <string>
