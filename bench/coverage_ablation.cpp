@@ -40,15 +40,17 @@ int main() {
   csv.header({"novelty_weight", "images", "successes", "avg_iterations",
               "avg_l2", "archive_size"});
 
+  // take() clamps to the test set, whatever HDTEST_FUZZ_IMAGES asks for.
+  const auto inputs = setup.data.test.take(params.fuzz_images);
   for (const double weight : {0.0, 0.3, 0.6}) {
     fuzz::CoverageFuzzer fuzzer(*setup.model, strategy, fuzz_config, weight);
     util::Rng master(setup.params.seed);
     std::size_t successes = 0;
     util::RunningStats iterations;
     util::RunningStats l2;
-    for (std::size_t i = 0; i < params.fuzz_images; ++i) {
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
       util::Rng rng = master.child(i);
-      const auto outcome = fuzzer.fuzz_one(setup.data.test.images[i], rng);
+      const auto outcome = fuzzer.fuzz_one(inputs.images[i], rng);
       iterations.add(static_cast<double>(outcome.base.iterations));
       if (outcome.base.success) {
         ++successes;
@@ -59,7 +61,7 @@ int main() {
                    util::TextTable::num(iterations.mean(), 2),
                    util::TextTable::num(l2.mean(), 3),
                    std::to_string(fuzzer.archive().size())});
-    csv.row(weight, params.fuzz_images, successes, iterations.mean(),
+    csv.row(weight, inputs.size(), successes, iterations.mean(),
             l2.mean(), fuzzer.archive().size());
   }
 

@@ -67,7 +67,7 @@ void BM_IncrementalEncode(benchmark::State& state) {
     mutant(row, col) = static_cast<std::uint8_t>(rng.uniform_u64(256));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(inc.encode_mutant(mutant));
+    benchmark::DoNotOptimize(inc.encode_mutant_packed(mutant));
   }
 }
 BENCHMARK(BM_IncrementalEncode)

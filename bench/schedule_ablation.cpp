@@ -58,7 +58,7 @@ int main() {
     fuzz::FuzzConfig uniform;
     uniform.budget = fuzz::default_budget_for_strategy(name);
     uniform.iter_times = std::max<std::size_t>(
-        1, kBudget / params.fuzz_images / uniform.seeds_per_iteration);
+        1, kBudget / inputs.size() / uniform.seeds_per_iteration);
     const fuzz::Fuzzer fuzzer(*setup.model, *strategy, uniform);
     util::Rng master(setup.params.seed);
     std::size_t uniform_solved = 0;

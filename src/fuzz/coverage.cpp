@@ -1,5 +1,7 @@
 #include "fuzz/coverage.hpp"
 
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "fuzz/fitness.hpp"
@@ -15,29 +17,24 @@ NoveltyArchive::NoveltyArchive(double add_threshold, std::size_t max_size)
   }
 }
 
-double NoveltyArchive::novelty(const hdc::Hypervector& query) const {
-  if (entries_.empty()) return 2.0;
-  const auto packed = hdc::PackedHv::from_dense(query);
+double NoveltyArchive::novelty(const hdc::PackedHv& query) const {
   double best = 2.0;
   for (const auto& entry : entries_) {
-    const double distance = 1.0 - cosine(packed, entry);
+    const double distance = 1.0 - cosine(query, entry);
     if (distance < best) best = distance;
   }
   return best;
 }
 
-double NoveltyArchive::observe(const hdc::Hypervector& query) {
+double NoveltyArchive::observe(const hdc::PackedHv& query) {
   const double score = novelty(query);
-  if (score >= add_threshold_ &&
-      (max_size_ == 0 || entries_.size() < max_size_)) {
-    entries_.push_back(hdc::PackedHv::from_dense(query));
-  }
+  if (score >= add_threshold_) add(query);
   return score;
 }
 
-void NoveltyArchive::add(const hdc::Hypervector& query) {
+void NoveltyArchive::add(const hdc::PackedHv& query) {
   if (max_size_ == 0 || entries_.size() < max_size_) {
-    entries_.push_back(hdc::PackedHv::from_dense(query));
+    entries_.push_back(query);
   }
 }
 
@@ -64,62 +61,40 @@ CoverageOutcome CoverageFuzzer::fuzz_one(const data::Image& input,
                                          util::Rng& rng) {
   const util::Stopwatch watch;
   CoverageOutcome outcome;
+  auto& base = outcome.base;
   const std::size_t archive_before = archive_.size();
 
-  const auto reference_query = model_->encode(input);
-  outcome.base.reference_label = model_->predict_encoded(reference_query);
-  ++outcome.base.encodes;
-  archive_.add(reference_query);  // seed the corpus with the clean input
+  const auto seed = make_seed_context(*model_, input);
+  base.reference_label = seed.reference_label;
+  ++base.encodes;
+  archive_.add(seed.reference);  // seed the corpus with the clean input
 
-  hdc::IncrementalPixelEncoder delta_encoder(model_->encoder());
-  if (config_.use_incremental_encoder) {
-    delta_encoder.rebase(input);
-  }
-
-  std::vector<ScoredSeed> parents;
-  parents.push_back(ScoredSeed{
-      input, fitness_of(*model_, outcome.base.reference_label, reference_query)});
-
-  for (std::size_t iter = 0; iter < config_.iter_times; ++iter) {
-    ++outcome.base.iterations;
-    std::vector<ScoredSeed> candidates;
-    candidates.reserve(config_.seeds_per_iteration);
-    for (std::size_t s = 0; s < config_.seeds_per_iteration; ++s) {
-      const auto& parent = parents[s % parents.size()].image;
-      data::Image mutant = strategy_->mutate(parent, rng);
-      const auto perturbation = measure_perturbation(input, mutant);
-      if (!config_.budget.accepts(perturbation)) {
-        ++outcome.base.discarded;
-        continue;
-      }
-      const auto query = config_.use_incremental_encoder
-                             ? delta_encoder.encode_mutant(mutant)
-                             : model_->encode(mutant);
-      ++outcome.base.encodes;
-      const auto label = model_->predict_encoded(query);
-      if (label != outcome.base.reference_label) {
-        outcome.base.success = true;
-        outcome.base.adversarial = std::move(mutant);
-        outcome.base.adversarial_label = label;
-        outcome.base.perturbation = perturbation;
-        outcome.base.seconds = watch.seconds();
-        outcome.archive_growth = archive_.size() - archive_before;
-        return outcome;
-      }
-      // Blended objective: class-distance fitness + representation novelty.
-      const double fitness =
-          fitness_of(*model_, outcome.base.reference_label, query);
-      const double novelty = archive_.observe(query) / 2.0;  // -> [0, 1]
-      candidates.push_back(ScoredSeed{
-          std::move(mutant),
-          (1.0 - novelty_weight_) * fitness + novelty_weight_ * novelty});
+  const auto& packed_am = model_->am().packed();
+  GenerationStep generation(
+      *strategy_, config_, input,
+      ScoredSeed{input, fitness_of(packed_am, base.reference_label,
+                                   seed.reference)});
+  generation.add_model(model_->encoder(), seed.base_acc);
+  // Fuzzer's judge, then the blended objective: class-distance fitness +
+  // representation novelty. The archive observes mutants in generation
+  // order up to the finding, exactly as a one-at-a-time loop would.
+  const auto judge = [&](const GenerationStep& step,
+                         std::span<double> fitness) {
+    const auto queries = step.queries(0);
+    const std::size_t found =
+        judge_against_reference(packed_am, base.reference_label, queries,
+                                fitness, base.adversarial_label);
+    for (std::size_t b = 0; b < std::min(found, queries.size()); ++b) {
+      const double novelty = archive_.observe(queries[b]) / 2.0;  // -> [0, 1]
+      fitness[b] =
+          (1.0 - novelty_weight_) * fitness[b] + novelty_weight_ * novelty;
     }
-    for (auto& parent : parents) candidates.push_back(std::move(parent));
-    keep_fittest(candidates, config_.keep_top_n);
-    parents = std::move(candidates);
+    return found;
+  };
+  while (base.iterations < config_.iter_times &&
+         !generation.advance(rng, judge, base)) {
   }
-
-  outcome.base.seconds = watch.seconds();
+  base.seconds = watch.seconds();
   outcome.archive_growth = archive_.size() - archive_before;
   return outcome;
 }

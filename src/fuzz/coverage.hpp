@@ -16,7 +16,9 @@
 ///        score = (1 - w) * fitness + w * novelty
 ///    so seeds that explore new HV-space survive even when their class
 ///    similarity has not (yet) dropped — escaping the local plateaus that
-///    pure distance guidance can stall on.
+///    pure distance guidance can stall on. It is Fuzzer's GenerationStep
+///    and judge with novelty blended into the fitness, so w = 0 reproduces
+///    Fuzzer's outcomes exactly.
 ///
 /// bench/coverage_ablation quantifies the effect against the paper's pure
 /// distance guidance.
@@ -48,14 +50,14 @@ class NoveltyArchive {
 
   /// Cosine distance (1 - cosine similarity) of \p query to its nearest
   /// archived neighbor; returns 2.0 (max) for an empty archive.
-  [[nodiscard]] double novelty(const hdc::Hypervector& query) const;
+  [[nodiscard]] double novelty(const hdc::PackedHv& query) const;
 
   /// Measures novelty and archives the query if it clears the threshold
   /// (and capacity allows). Returns the novelty measured *before* insertion.
-  double observe(const hdc::Hypervector& query);
+  double observe(const hdc::PackedHv& query);
 
-  /// Unconditionally archives a query (seeding the corpus).
-  void add(const hdc::Hypervector& query);
+  /// Archives a query regardless of novelty (seeding the corpus).
+  void add(const hdc::PackedHv& query);
 
  private:
   double add_threshold_;

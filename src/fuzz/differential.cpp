@@ -1,6 +1,8 @@
 #include "fuzz/differential.hpp"
 
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 namespace hdtest::fuzz {
 
@@ -29,66 +31,48 @@ CrossModelOutcome CrossModelFuzzer::fuzz_one(const data::Image& input,
                                              util::Rng& rng) const {
   CrossModelOutcome outcome;
 
-  const auto ref_a = model_a_->predict(input);
-  const auto ref_b = model_b_->predict(input);
+  const auto seed_a = make_seed_context(*model_a_, input);
+  const auto seed_b = make_seed_context(*model_b_, input);
   outcome.encodes += 2;
-  if (ref_a != ref_b) {
+  if (seed_a.reference_label != seed_b.reference_label) {
     outcome.skipped = true;
-    outcome.label_a = ref_a;
-    outcome.label_b = ref_b;
+    outcome.label_a = seed_a.reference_label;
+    outcome.label_b = seed_b.reference_label;
     return outcome;
   }
 
-  hdc::IncrementalPixelEncoder delta_a(model_a_->encoder());
-  hdc::IncrementalPixelEncoder delta_b(model_b_->encoder());
-  if (config_.use_incremental_encoder) {
-    delta_a.rebase(input);
-    delta_b.rebase(input);
-  }
-
-  std::vector<ScoredSeed> parents;
-  parents.push_back(ScoredSeed{input, 0.0});
-
-  for (std::size_t iter = 0; iter < config_.iter_times; ++iter) {
-    ++outcome.iterations;
-    std::vector<ScoredSeed> candidates;
-    candidates.reserve(config_.seeds_per_iteration);
-    for (std::size_t s = 0; s < config_.seeds_per_iteration; ++s) {
-      const auto& parent = parents[s % parents.size()].image;
-      data::Image mutant = strategy_->mutate(parent, rng);
-      const auto perturbation = measure_perturbation(input, mutant);
-      if (!config_.budget.accepts(perturbation)) continue;
-
-      const auto query_a = config_.use_incremental_encoder
-                               ? delta_a.encode_mutant(mutant)
-                               : model_a_->encode(mutant);
-      const auto query_b = config_.use_incremental_encoder
-                               ? delta_b.encode_mutant(mutant)
-                               : model_b_->encode(mutant);
-      outcome.encodes += 2;
-      const auto label_a = model_a_->predict_encoded(query_a);
-      const auto label_b = model_b_->predict_encoded(query_b);
-      if (label_a != label_b) {
-        outcome.success = true;
-        outcome.divergent = std::move(mutant);
-        outcome.label_a = label_a;
-        outcome.label_b = label_b;
-        outcome.perturbation = perturbation;
-        return outcome;
+  // The original starts with score 0: any mutant that moved toward the
+  // joint boundary outranks it.
+  GenerationStep generation(*strategy_, config_, input, ScoredSeed{input, 0.0});
+  generation.add_model(model_a_->encoder(), seed_a.base_acc);
+  generation.add_model(model_b_->encoder(), seed_b.base_acc);
+  const auto& am_a = model_a_->am().packed();
+  const auto& am_b = model_b_->am().packed();
+  const auto judge = [&](const GenerationStep& step,
+                         std::span<double> fitness) {
+    const auto sweep_a =
+        am_a.predict_block(step.queries(0), seed_a.reference_label);
+    const auto sweep_b =
+        am_b.predict_block(step.queries(1), seed_b.reference_label);
+    for (std::size_t b = 0; b < fitness.size(); ++b) {
+      fitness[b] = 1.0 - 0.5 * (sweep_a.ref_scores[b] + sweep_b.ref_scores[b]);
+      if (sweep_a.labels[b] != sweep_b.labels[b]) {
+        outcome.label_a = sweep_a.labels[b];
+        outcome.label_b = sweep_b.labels[b];
+        return b;
       }
-      const double fitness =
-          1.0 - 0.5 * (model_a_->similarity_to_class(ref_a, query_a) +
-                       model_b_->similarity_to_class(ref_b, query_b));
-      candidates.push_back(ScoredSeed{std::move(mutant), fitness});
     }
-    for (auto& parent : parents) candidates.push_back(std::move(parent));
-    if (config_.guided) {
-      keep_fittest(candidates, config_.keep_top_n);
-    } else {
-      keep_random(candidates, config_.keep_top_n, rng);
-    }
-    parents = std::move(candidates);
+    return kNoFinding;
+  };
+  FuzzOutcome loop;
+  while (loop.iterations < config_.iter_times &&
+         !generation.advance(rng, judge, loop)) {
   }
+  outcome.success = loop.success;
+  outcome.divergent = std::move(loop.adversarial);
+  outcome.perturbation = loop.perturbation;
+  outcome.iterations = loop.iterations;
+  outcome.encodes += loop.encodes;
   return outcome;
 }
 

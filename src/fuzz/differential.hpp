@@ -12,7 +12,8 @@
 /// HDC models vote on every mutant, and a *disagreement* between the models
 /// is the finding. This catches inputs near decision boundaries of either
 /// model and demonstrates the section V-E claim that HDTest extends to any
-/// HDC structure exposing HV distances.
+/// HDC structure exposing HV distances. It is Fuzzer's GenerationStep with both models registered and one
+/// packed predict_block per model as the judge.
 
 #include <cstddef>
 
@@ -31,7 +32,7 @@ struct CrossModelOutcome {
   std::size_t label_b = 0;     ///< model B's prediction on the mutant
   std::size_t iterations = 0;
   Perturbation perturbation;
-  std::size_t encodes = 0;     ///< combined queries against both models
+  std::size_t encodes = 0;  ///< both models' queries, counted as FuzzOutcome
 };
 
 /// Fuzzes for inputs where two HDC models disagree.

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "data/image.hpp"
-#include "hdc/classifier.hpp"
+#include "hdc/packed_assoc_memory.hpp"
 #include "util/rng.hpp"
 
 namespace hdtest::fuzz {
@@ -25,16 +25,9 @@ struct ScoredSeed {
   double fitness = 0.0;
 };
 
-/// Computes the paper's fitness for an already-encoded query HV.
-[[nodiscard]] inline double fitness_of(const hdc::HdcClassifier& model,
-                                       std::size_t reference_label,
-                                       const hdc::Hypervector& query) {
-  return 1.0 - model.similarity_to_class(reference_label, query);
-}
-
-/// Packed-query overload: identical doubles to the dense version (packed
-/// similarity is exact, see PackedAssocMemory::similarity_to), computed from
-/// XOR+popcount instead of a dense dot. The fuzz loop's steady-state path.
+/// The paper's fitness of an already-encoded packed query: identical
+/// doubles to 1 - the dense cosine (packed similarity is exact, see
+/// PackedAssocMemory::similarity_to), computed from XOR+popcount.
 [[nodiscard]] inline double fitness_of(const hdc::PackedAssocMemory& am,
                                        std::size_t reference_label,
                                        const hdc::PackedHv& query) {

@@ -16,10 +16,18 @@
 /// removes any need for manual labeling. Setting FuzzConfig::guided = false
 /// replaces fittest-selection with uniform selection — the unguided baseline
 /// behind the paper's "12% faster on average" claim.
+///
+/// The loop body is GenerationStep, the one generation step every image
+/// fuzzer runs; each contributes only a judge (oracle + fitness):
+///   Fuzzer                 label != y;          1 - Cosim(AM[y], q)
+///   CrossModelFuzzer       label_a != label_b;  1 - (Cosim_a + Cosim_b) / 2
+///   CoverageFuzzer         Fuzzer's judge, fitness blended with novelty
+///   run_scheduled_campaign Fuzzer's judge, stopped by an encode budget
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "data/image.hpp"
@@ -27,6 +35,7 @@
 #include "fuzz/fitness.hpp"
 #include "fuzz/mutation.hpp"
 #include "hdc/classifier.hpp"
+#include "hdc/encoder.hpp"
 #include "hdc/packed_hv.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
@@ -67,15 +76,10 @@ struct FuzzOutcome {
   std::size_t adversarial_label = 0;///< HDC(t') when success
   std::size_t iterations = 0;       ///< fuzzing iterations executed
   Perturbation perturbation;        ///< original -> adversarial (when success)
-  /// Model queries spent (cost metric). Generations are evaluated as one
-  /// packed batch, so on success this counts every budget-surviving mutant
-  /// of the final generation — up to seeds_per_iteration - 1 more than the
-  /// pre-batching one-at-a-time accounting, which stopped at the winner.
+  /// Model queries spent (cost metric): the reference plus every
+  /// budget-surviving mutant, the whole final generation included.
   std::size_t encodes = 0;
-  /// Mutants rejected by the budget. Subject to the same batch-accounting
-  /// note as encodes: the final generation is fully generated and filtered
-  /// before the differential check, so rejections after the winning mutant
-  /// are included here too.
+  /// Mutants rejected by the budget, the whole final generation included.
   std::size_t discarded = 0;
   double seconds = 0.0;             ///< wall time for this input
 };
@@ -96,6 +100,84 @@ struct SeedContext {
   hdc::PackedHv reference;          ///< packed query HV of the input
   std::size_t reference_label = 0;  ///< HDC(t) — the differential reference
 };
+
+/// Full-encodes \p input under \p model into a seed context, dense-free
+/// (Fuzzer::prepare_seed; the other image fuzzers' reference queries).
+[[nodiscard]] SeedContext make_seed_context(const hdc::HdcClassifier& model,
+                                            const data::Image& input);
+
+/// Judge verdict for a generation without a finding.
+inline constexpr std::size_t kNoFinding = static_cast<std::size_t>(-1);
+
+/// One generation of Algorithm 1: mutate the parents round-robin, drop
+/// out-of-budget mutants, packed-encode the survivors once per model, hand
+/// them to a judge, and with no finding keep the top N of mutants + parents
+/// (keep_fittest when guided, keep_random otherwise).
+/// Single-threaded: one instance per fuzzed input.
+class GenerationStep {
+ public:
+  /// \p strategy, \p config and \p original (the base of perturbations and
+  /// delta encodes) must outlive the step.
+  GenerationStep(const MutationStrategy& strategy, const FuzzConfig& config,
+                 const data::Image& original, ScoredSeed first_parent);
+
+  /// Adds a model whose queries the judge reads as queries(m), m counting
+  /// registrations; \p base_acc is encode_into(original) under \p encoder.
+  void add_model(const hdc::PixelEncoder& encoder,
+                 const hdc::Accumulator& base_acc);
+
+  /// Runs one generation, counting its iterations, encodes (per model) and
+  /// discards in \p outcome. judge(*this, fitness) returns the first finding
+  /// in generation order, or kNoFinding after writing one fitness per
+  /// mutant. On a finding, sets outcome.success/adversarial/perturbation and
+  /// returns true.
+  template <typename Judge>
+  bool advance(util::Rng& rng, Judge&& judge, FuzzOutcome& outcome) {
+    breed(rng, outcome);
+    const std::size_t found =
+        judge(std::as_const(*this), std::span<double>(fitness_));
+    if (found == kNoFinding) {
+      select(rng);
+      return false;
+    }
+    outcome.success = true;
+    outcome.adversarial = std::move(mutants_[found]);
+    outcome.perturbation = perturbations_[found];
+    return true;
+  }
+
+  [[nodiscard]] std::span<const hdc::PackedHv> queries(std::size_t m) const {
+    return queries_[m];
+  }
+  /// Surviving parents, fittest first when guided.
+  [[nodiscard]] const std::vector<ScoredSeed>& parents() const noexcept {
+    return parents_;
+  }
+
+ private:
+  void breed(util::Rng& rng, FuzzOutcome& outcome);
+  void select(util::Rng& rng);
+
+  const MutationStrategy* strategy_;
+  const FuzzConfig* config_;
+  const data::Image* original_;
+  std::vector<hdc::IncrementalPixelEncoder> models_;
+  std::vector<ScoredSeed> parents_;
+  // Per-generation scratch, reused across generations.
+  std::vector<data::Image> mutants_;
+  std::vector<Perturbation> perturbations_;
+  std::vector<std::vector<hdc::PackedHv>> queries_;
+  std::vector<double> fitness_;
+  std::vector<ScoredSeed> pool_;
+};
+
+/// Fuzzer's judge: one predict_block sweep, fitness[b] = 1 - Cosim(AM[y],
+/// q_b), and the first mutant whose label differs from \p reference (label
+/// written to \p found_label), or kNoFinding.
+[[nodiscard]] std::size_t judge_against_reference(
+    const hdc::PackedAssocMemory& am, std::size_t reference,
+    std::span<const hdc::PackedHv> queries, std::span<double> fitness,
+    std::size_t& found_label);
 
 /// The HDTest fuzzer bound to one model and one mutation strategy.
 ///

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "fuzz/fuzzer.hpp"
+
 namespace hdtest::fuzz {
 
 void MinimizeConfig::validate() const {
@@ -22,16 +24,17 @@ MinimizeResult minimize_adversarial(const hdc::HdcClassifier& model,
   }
 
   MinimizeResult result;
-  const auto reference = model.predict(original);
+  const auto seed = make_seed_context(model, original);
   ++result.encodes;
 
+  // Reverts touch few pixels: probe each with the packed delta encode.
   hdc::IncrementalPixelEncoder encoder(model.encoder());
-  encoder.rebase(original);
+  encoder.rebase(original, seed.base_acc);
 
   auto is_adversarial = [&](const data::Image& candidate) {
     ++result.encodes;
-    return model.predict_encoded(encoder.encode_mutant(candidate)) !=
-           reference;
+    return model.am().packed().predict(encoder.encode_mutant_packed(
+               candidate)) != seed.reference_label;
   };
 
   if (!is_adversarial(adversarial)) {

@@ -1,7 +1,9 @@
 #include "fuzz/schedule.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "fuzz/fitness.hpp"
 #include "fuzz/vulnerability.hpp"
@@ -44,47 +46,37 @@ std::size_t ScheduleResult::solved() const noexcept {
 namespace {
 
 /// Spends ~budget encodes fuzzing one queue entry, resuming from its best
-/// surviving seed. Returns encodes actually consumed.
+/// surviving seed: Fuzzer's loop and judge, stopped by the encode budget
+/// instead of iter_times. Returns encodes actually consumed.
 std::size_t fuzz_round(const hdc::HdcClassifier& model,
                        const MutationStrategy& strategy,
                        const FuzzConfig& config, const data::Image& original,
                        QueueEntry& entry, std::size_t budget, util::Rng& rng) {
-  std::size_t spent = 0;
-  hdc::IncrementalPixelEncoder encoder(model.encoder());
-  encoder.rebase(original);
-
-  std::vector<ScoredSeed> parents;
-  parents.push_back(ScoredSeed{entry.best_seed, entry.best_fitness});
-
-  while (spent < budget) {
-    std::vector<ScoredSeed> candidates;
-    for (std::size_t s = 0; s < config.seeds_per_iteration; ++s) {
-      data::Image mutant = strategy.mutate(parents[s % parents.size()].image, rng);
-      const auto perturbation = measure_perturbation(original, mutant);
-      if (!config.budget.accepts(perturbation)) continue;
-      const auto query = encoder.encode_mutant(mutant);
-      ++spent;
-      const auto label = model.predict_encoded(query);
-      if (label != entry.reference_label) {
-        entry.solved = true;
-        entry.adversarial = std::move(mutant);
-        entry.adversarial_label = label;
-        return spent;
-      }
-      const double fitness = fitness_of(model, entry.reference_label, query);
-      candidates.push_back(ScoredSeed{std::move(mutant), fitness});
-    }
-    for (auto& parent : parents) candidates.push_back(std::move(parent));
-    keep_fittest(candidates, config.keep_top_n);
-    parents = std::move(candidates);
+  GenerationStep generation(strategy, config, original,
+                            ScoredSeed{entry.best_seed, entry.best_fitness});
+  generation.add_model(model.encoder(),
+                       make_seed_context(model, original).base_acc);
+  const auto& packed_am = model.am().packed();
+  const auto judge = [&](const GenerationStep& step,
+                         std::span<double> fitness) {
+    return judge_against_reference(packed_am, entry.reference_label,
+                                   step.queries(0), fitness,
+                                   entry.adversarial_label);
+  };
+  FuzzOutcome round;
+  while (round.encodes < budget && !generation.advance(rng, judge, round)) {
   }
-  // Persist the best seed so the next round resumes instead of restarting —
-  // the scheduler's key difference from independent fixed-budget runs.
-  if (!parents.empty()) {
-    entry.best_seed = parents.front().image;
-    entry.best_fitness = parents.front().fitness;
+  if (round.success) {
+    entry.solved = true;
+    entry.adversarial = std::move(round.adversarial);
+  } else {
+    // Persist the best seed so the next round resumes instead of
+    // restarting — the scheduler's key difference from independent
+    // fixed-budget runs.
+    entry.best_seed = generation.parents().front().image;
+    entry.best_fitness = generation.parents().front().fitness;
   }
-  return spent;
+  return round.encodes;
 }
 
 }  // namespace
@@ -112,9 +104,10 @@ ScheduleResult run_scheduled_campaign(const hdc::HdcClassifier& model,
     QueueEntry entry;
     entry.image_index = i;
     entry.margin = similarity_margin(model, inputs.images[i]);
-    const auto query = model.encode(inputs.images[i]);
-    entry.reference_label = model.predict_encoded(query);
-    entry.best_fitness = fitness_of(model, entry.reference_label, query);
+    const auto seed = make_seed_context(model, inputs.images[i]);
+    entry.reference_label = seed.reference_label;
+    entry.best_fitness =
+        fitness_of(model.am().packed(), entry.reference_label, seed.reference);
     entry.best_seed = inputs.images[i];
     result.queue[i] = std::move(entry);
   });

@@ -17,6 +17,9 @@
 /// Compared to the fixed sweep, the scheduler finds more adversarials under
 /// the same total query budget when the population has a vulnerability
 /// skew — which section V-B shows it does (bench: schedule_ablation).
+///
+/// A round is Fuzzer's GenerationStep and judge, resumed from the entry's
+/// best seed and stopped by the round's encode budget instead of iter_times.
 
 #include <cstddef>
 #include <cstdint>

@@ -91,18 +91,8 @@ class HdcClassifier {
 
   [[nodiscard]] bool trained() const noexcept { return am_.finalized(); }
 
-  /// Encodes an image with this model's encoder (the "query HV").
-  [[nodiscard]] Hypervector encode(const data::Image& image) const {
-    return encoder_.encode(image);
-  }
-
   /// Predicted class of an image. \throws std::logic_error if untrained.
   [[nodiscard]] std::size_t predict(const data::Image& image) const;
-
-  /// Predicted class for an already-encoded query HV.
-  [[nodiscard]] std::size_t predict_encoded(const Hypervector& query) const {
-    return am_.predict(query);
-  }
 
   /// Batched inference hot path: encodes every image and classifies through
   /// the bit-packed associative memory (XOR + popcount), parallelized over
@@ -120,13 +110,6 @@ class HdcClassifier {
 
   /// Similarity of an image to every class.
   [[nodiscard]] std::vector<double> similarities(const data::Image& image) const;
-
-  /// HDTest's fitness ingredient: similarity between the reference HV of
-  /// class \p cls and the query HV of \p image (fitness = 1 - this value).
-  [[nodiscard]] double similarity_to_class(std::size_t cls,
-                                           const Hypervector& query) const {
-    return am_.similarity_to(cls, query);
-  }
 
   /// Accuracy + confusion matrix over a dataset. Runs through the packed
   /// batch path; \p workers only affects wall time, never the result.

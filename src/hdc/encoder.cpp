@@ -273,7 +273,7 @@ void IncrementalPixelEncoder::rebuild_base_slices() const {
 
 void IncrementalPixelEncoder::collect_patches(const data::Image& mutant) const {
   if (!has_base()) {
-    throw std::logic_error("IncrementalPixelEncoder: rebase() before encode_mutant()");
+    throw std::logic_error("IncrementalPixelEncoder: encode before rebase()");
   }
   if (mutant.width() != base_.width() || mutant.height() != base_.height()) {
     throw std::invalid_argument("IncrementalPixelEncoder: shape mismatch with base");
@@ -296,34 +296,6 @@ void IncrementalPixelEncoder::collect_patches(const data::Image& mutant) const {
   last_delta_count_ = deltas;
 }
 
-void IncrementalPixelEncoder::apply_patches_to_scratch() const {
-  // Copy the base accumulator (reusing scratch storage) and patch only the
-  // changed pixels: acc += pixelHV(p, new) - pixelHV(p, old). The patch
-  // reads the packed codebooks — same integer lane updates as the dense
-  // add_bound, an eighth of the memory traffic.
-  scratch_ = base_acc_;
-  const auto& positions = encoder_->packed_position_memory();
-  const auto& values = encoder_->packed_value_memory();
-  for (const auto& patch : patches_) {
-    // The position row stays valid across both adds: the value rows use
-    // their own scratch buffers, so nothing overwrites it in between.
-    const auto pos_row = positions.row(patch.position, pos_row_scratch_);
-    scratch_.add_bound_packed(pos_row,
-                              values.row(patch.old_index, old_row_scratch_),
-                              -1);
-    scratch_.add_bound_packed(pos_row,
-                              values.row(patch.new_index, new_row_scratch_),
-                              +1);
-  }
-}
-
-Hypervector IncrementalPixelEncoder::encode_mutant(
-    const data::Image& mutant) const {
-  collect_patches(mutant);
-  apply_patches_to_scratch();
-  return scratch_.bipolarize(encoder_->tie_break());
-}
-
 HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
     const data::Image& mutant) const {
   collect_patches(mutant);
@@ -338,8 +310,8 @@ HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
     return encoder_->encode_packed(mutant);
   }
 
-  // Lazily (re)build the slice bank: dense-only callers and rerouted dense
-  // mutations never pay for it.
+  // Lazily (re)build the slice bank: rerouted dense mutations never pay
+  // for it.
   if (slices_stale_) {
     rebuild_base_slices();
     slices_stale_ = false;
@@ -354,8 +326,8 @@ HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
   // lane == 0 <=> stored == T, with T = bias + 2*pairs. Eq. 1 then falls
   // out of one bit-parallel MSB-down comparison per word (the device's
   // slice_bipolarize_block) — never a dense intermediate, never an O(D)
-  // int32 pass. Bit-exact with from_dense(encode_mutant(mutant)) under
-  // every device backend and codebook storage mode.
+  // int32 pass. Bit-exact with the full encode of the mutant under every
+  // device backend and codebook storage mode.
   const Device& device = active_device();
   const std::size_t n = encoder_->dim();
   const std::size_t words = util::words_for_bits(n);

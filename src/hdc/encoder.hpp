@@ -18,8 +18,8 @@
 /// IncrementalPixelEncoder exploits bundling's linearity to re-encode a
 /// mutated image in time proportional to the number of changed pixels — a
 /// large win for the fuzzer's row/column mutations (exactness is
-/// unit-tested; speedup ablated in bench). Its packed variant
-/// (encode_mutant_packed) keeps the fuzz loop dense-free end to end.
+/// unit-tested; speedup ablated in bench). It only produces packed queries,
+/// which keeps every image fuzz loop dense-free end to end.
 /// NGramTextEncoder implements the classic permute-bind n-gram text encoding
 /// (Rahimi et al., ISLPED'16) used by the language-extension example.
 
@@ -172,9 +172,10 @@ class PixelEncoder {
 ///
 /// Bundling is linear: changing pixel p from value u to v shifts the
 /// accumulator by pixelHV(p, v) - pixelHV(p, u). rebase() performs a full
-/// encode; encode_mutant() re-encodes any same-shape image in
-/// O(changed_pixels * D) instead of O(W*H*D). Produces *exactly* the same
-/// hypervector as PixelEncoder::encode (asserted by tests/encoder_test).
+/// encode (or adopts one); encode_mutant_packed() re-encodes any same-shape
+/// image in O(changed_pixels * D) bit operations instead of O(W*H*D).
+/// Produces *exactly* the packed query of PixelEncoder::encode (asserted
+/// against the dense full encode by tests/encoder_test).
 class IncrementalPixelEncoder {
  public:
   /// \param encoder must outlive this object.
@@ -190,22 +191,23 @@ class IncrementalPixelEncoder {
   /// \throws std::invalid_argument on shape or dimension mismatch.
   void rebase(const data::Image& image, Accumulator acc);
 
+  [[nodiscard]] const PixelEncoder& encoder() const noexcept {
+    return *encoder_;
+  }
+
   /// True once rebase() has been called.
   [[nodiscard]] bool has_base() const noexcept { return !base_.empty(); }
 
-  /// Encodes \p mutant relative to the current base.
+  /// Encodes \p mutant relative to the current base: the delta patch
+  /// through the packed codebooks followed by the fused Eq. 1 + pack. Never
+  /// touches a dense Hypervector — the fuzzer's steady-state query path.
+  /// Bit-exact: == PackedHv::from_dense(encoder.encode(mutant)).
   /// \throws std::logic_error without a base; std::invalid_argument on shape
   /// mismatch.
-  [[nodiscard]] Hypervector encode_mutant(const data::Image& mutant) const;
-
-  /// Packed counterpart of encode_mutant: identical delta patch (through the
-  /// packed codebooks) followed by the fused Eq. 1 + pack. Never touches a
-  /// dense Hypervector — the fuzzer's steady-state query path.
-  /// Bit-exact: == PackedHv::from_dense(encode_mutant(mutant)).
   HDTEST_HOT_PATH [[nodiscard]] PackedHv encode_mutant_packed(
       const data::Image& mutant) const;
 
-  /// Number of pixel-HV updates performed by the last encode_mutant() /
+  /// Number of pixel-HV updates performed by the last
   /// encode_mutant_packed() call (for the ablation bench).
   [[nodiscard]] std::size_t last_delta_count() const noexcept {
     return last_delta_count_;
@@ -224,10 +226,6 @@ class IncrementalPixelEncoder {
   /// changed-pixel pairs (sets last_delta_count_).
   void collect_patches(const data::Image& mutant) const;
 
-  /// Copies the base accumulator into scratch_ and applies the delta patch
-  /// from patches_ (the dense encode_mutant path).
-  void apply_patches_to_scratch() const;
-
   /// Rebuilds the biased bit-sliced mirror of base_acc_ (see
   /// encode_mutant_packed in encoder.cpp for the representation).
   void rebuild_base_slices() const;
@@ -237,17 +235,16 @@ class IncrementalPixelEncoder {
   Accumulator base_acc_;
   /// Bit-sliced biased base lanes: slice j holds bit j of lane + bias_ for
   /// every lane (slice_count_ x words, level-major). Built lazily on the
-  /// first encode_mutant_packed() after a rebase — dense-only callers never
-  /// pay for it; the packed delta path patches a copy of this with
-  /// word-level carry-save adds instead of touching int32 lanes.
+  /// first encode_mutant_packed() after a rebase; the packed delta path
+  /// patches a copy of this with word-level carry-save adds instead of
+  /// touching int32 lanes.
   mutable std::vector<std::uint64_t> base_slices_;
   mutable std::size_t slice_count_ = 0;
   mutable std::int32_t bias_ = 0;
   mutable bool slices_stale_ = true;
-  /// Per-call scratch reused across encode_mutant calls (one instance is
-  /// only ever used from one thread; the fuzzer creates one per fuzz_one
-  /// call — mirrors the pre-existing last_delta_count_ contract).
-  mutable Accumulator scratch_;
+  /// Per-call scratch reused across encode_mutant_packed calls (one
+  /// instance is only ever used from one thread; the fuzz loop creates one
+  /// per fuzz_one call — mirrors the last_delta_count_ contract).
   mutable std::vector<std::uint64_t> slice_scratch_;
   /// Row scratch for rematerializing codebooks (sized once in the ctor via
   /// PackedItemMemory::row_scratch_words(); empty — and never written — for

@@ -170,24 +170,6 @@ void Accumulator::add_bound(const Hypervector& a, const Hypervector& b,
   }
 }
 
-void Accumulator::add_bound_packed(std::span<const std::uint64_t> pos,
-                                   std::span<const std::uint64_t> val,
-                                   int weight) {
-  const std::size_t n = lanes_.size();
-  if (pos.size() != util::words_for_bits(n) || val.size() != pos.size()) {
-    throw std::invalid_argument("Accumulator::add_bound_packed: word count mismatch");
-  }
-  for (std::size_t w = 0, base = 0; base < n; ++w, base += 64) {
-    const std::uint64_t bound = pos[w] ^ val[w];
-    const std::size_t chunk = std::min<std::size_t>(64, n - base);
-    for (std::size_t b = 0; b < chunk; ++b) {
-      // bit = 1 encodes element -1: lane += weight * (1 - 2*bit).
-      const auto bit = static_cast<std::int32_t>((bound >> b) & 1ULL);
-      lanes_[base + b] += weight - 2 * weight * bit;
-    }
-  }
-}
-
 void Accumulator::add_packed(std::span<const std::uint64_t> v, int weight) {
   const std::size_t n = lanes_.size();
   if (v.size() != util::words_for_bits(n)) {

@@ -129,14 +129,6 @@ class Accumulator {
   /// This is the hot path of pixel encoding: acc += posHV (*) valueHV.
   void add_bound(const Hypervector& a, const Hypervector& b, int weight = 1);
 
-  /// Packed counterpart of add_bound: the bound HV is given as sign-bit
-  /// words pos ^ val (bit = 1 encodes -1), read straight from packed item
-  /// memories. Exactly the same lane updates as add_bound on the dense
-  /// entries. The delta re-encoder's patch kernel.
-  /// \pre both spans hold util::words_for_bits(dim()) words.
-  void add_bound_packed(std::span<const std::uint64_t> pos,
-                        std::span<const std::uint64_t> val, int weight = 1);
-
   /// Packed counterpart of add(): accumulates a sign-bit-packed HV
   /// (bit = 1 encodes -1) with the exact same lane updates as add() on its
   /// dense form. Lets training/retraining consume cached packed queries

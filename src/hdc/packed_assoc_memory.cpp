@@ -207,22 +207,6 @@ double PackedAssocMemory::similarity_to(std::size_t cls,
   return 1.0 - static_cast<double>(ham) / d;
 }
 
-std::vector<double> PackedAssocMemory::scores(std::span<const PackedHv> queries,
-                                              std::size_t cls,
-                                              std::size_t workers) const {
-  if (empty()) {
-    throw std::logic_error("PackedAssocMemory: no class prototypes loaded");
-  }
-  if (cls >= num_classes_) {
-    throw std::out_of_range("PackedAssocMemory::scores: class out of range");
-  }
-  std::vector<double> out(queries.size());
-  util::parallel_for(queries.size(), workers, [&](std::size_t i) {
-    out[i] = similarity_to(cls, queries[i]);
-  });
-  return out;
-}
-
 std::vector<std::size_t> PackedAssocMemory::predict_batch(
     std::span<const Hypervector> queries, std::size_t workers) const {
   if (empty()) {

@@ -128,14 +128,6 @@ class PackedAssocMemory {
   /// std::out_of_range on dim or class mismatch.
   [[nodiscard]] double similarity_to(std::size_t cls, const PackedHv& query) const;
 
-  /// Batched similarity-to-one-class sweep: scores[i] = similarity_to(cls,
-  /// queries[i]), parallelized over \p workers threads (deterministic per
-  /// index, identical for any worker count). The fuzzer scores a whole
-  /// surviving generation with one call.
-  [[nodiscard]] std::vector<double> scores(std::span<const PackedHv> queries,
-                                           std::size_t cls,
-                                           std::size_t workers = 1) const;
-
   /// Batched argmax over many dense queries: fused per-query pack + rank
   /// (parallelized over \p workers threads with util::parallel_for), so the
   /// freshly packed query is classified while cache-hot — measurably better

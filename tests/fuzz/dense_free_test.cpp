@@ -2,10 +2,12 @@
 // encoding pipeline): once a seed context is prepared, fuzz_one's
 // steady-state generation loop must materialize ZERO dense Hypervectors and
 // perform ZERO PackedHv::from_dense re-packs — every mutant query lives its
-// whole life in packed sign-bit space. Verified with the process-wide
-// instrumentation counters (hdc/instrument.hpp) rather than call-site
-// review. Also asserts that the prepared-seed path is bit-identical to the
-// self-contained fuzz_one overload.
+// whole life in packed sign-bit space. The same holds for every other image
+// fuzzer built on the shared generation step (cross-model, coverage, the
+// scheduler's rounds) and for adversarial minimization. Verified with the
+// process-wide instrumentation counters (hdc/instrument.hpp) rather than
+// call-site review. Also asserts that the prepared-seed path is
+// bit-identical to the self-contained fuzz_one overload.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +16,11 @@
 #include <span>
 
 #include "data/synthetic_digits.hpp"
+#include "fuzz/coverage.hpp"
+#include "fuzz/differential.hpp"
 #include "fuzz/fuzzer.hpp"
+#include "fuzz/minimize.hpp"
+#include "fuzz/schedule.hpp"
 #include "hdc/classifier.hpp"
 #include "hdc/instrument.hpp"
 
@@ -38,6 +44,7 @@ class DenseFreeTest : public ::testing::Test {
   }
 
   static const hdc::HdcClassifier& model() { return *model_; }
+  static const data::Dataset& train_images() { return pair_->train; }
   static const data::Dataset& test_images() { return pair_->test; }
 
  private:
@@ -183,6 +190,92 @@ TEST_F(DenseFreeTest, PrepareSeedsMatchesPerInputForAnyWorkerCount) {
       ASSERT_EQ(seeds[i].reference_label, expected.reference_label);
     }
   }
+}
+
+/// Asserts the counters recorded since the last instrument::reset() show no
+/// dense materialization at all.
+void expect_dense_free(const char* what) {
+  EXPECT_EQ(hdc::instrument::dense_hv_materializations(), 0u)
+      << what << " materialized a dense Hypervector";
+  EXPECT_EQ(hdc::instrument::packed_from_dense(), 0u)
+      << what << " re-packed a dense query via PackedHv::from_dense";
+}
+
+TEST_F(DenseFreeTest, CrossModelFuzzOneIsDenseFree) {
+  hdc::ModelConfig config;
+  config.dim = 2048;
+  config.seed = 23;  // an independently seeded twin
+  hdc::HdcClassifier twin(config, 28, 28, 10);
+  twin.fit(train_images());
+  const GaussNoiseMutation strategy;
+  FuzzConfig fuzz_config;
+  fuzz_config.iter_times = 4;
+  const CrossModelFuzzer fuzzer(model(), twin, strategy, fuzz_config);
+  std::size_t fuzzed = 0;
+  for (std::size_t i = 0; i < test_images().size(); ++i) {
+    util::Rng rng(i);
+    hdc::instrument::reset();
+    const auto outcome = fuzzer.fuzz_one(test_images().images[i], rng);
+    if (outcome.skipped) continue;  // no loop ran
+    ++fuzzed;
+    EXPECT_GT(outcome.encodes, 2u);
+    expect_dense_free("CrossModelFuzzer::fuzz_one");
+  }
+  EXPECT_GT(fuzzed, 0u) << "the models disagreed on every input";
+}
+
+TEST_F(DenseFreeTest, CoverageFuzzOneIsDenseFree) {
+  const RandNoiseMutation strategy;
+  FuzzConfig config;
+  config.iter_times = 6;
+  CoverageFuzzer fuzzer(model(), strategy, config, 0.3);
+  util::Rng rng(11);
+  hdc::instrument::reset();
+  const auto outcome = fuzzer.fuzz_one(test_images().images[4], rng);
+  EXPECT_GT(outcome.base.encodes, 1u);
+  expect_dense_free("CoverageFuzzer::fuzz_one");
+}
+
+TEST_F(DenseFreeTest, MinimizeAdversarialIsDenseFree) {
+  const GaussNoiseMutation strategy;
+  const Fuzzer fuzzer(model(), strategy, FuzzConfig{});
+  const auto& original = test_images().images[5];
+  util::Rng rng(12);
+  const auto finding = fuzzer.fuzz_one(original, rng);
+  ASSERT_TRUE(finding.success);
+  hdc::instrument::reset();
+  const auto result =
+      minimize_adversarial(model(), original, finding.adversarial);
+  EXPECT_GT(result.encodes, 2u);
+  expect_dense_free("minimize_adversarial");
+}
+
+TEST_F(DenseFreeTest, ScheduledRoundsAddNoDenseWork) {
+  // The queue warm-up may touch dense vectors (clean similarity margins);
+  // the fuzzing rounds on top of it must add nothing.
+  const RandNoiseMutation strategy;
+  const auto inputs = test_images().take(6);
+  ScheduleConfig warm_up_only;
+  warm_up_only.total_encodes = inputs.size();
+  warm_up_only.round_encodes = inputs.size();
+  hdc::instrument::reset();
+  const auto warm = run_scheduled_campaign(model(), strategy, inputs,
+                                           warm_up_only);
+  EXPECT_EQ(warm.rounds, 0u);
+  const auto dense = hdc::instrument::dense_hv_materializations();
+  const auto repacks = hdc::instrument::packed_from_dense();
+
+  ScheduleConfig with_rounds;
+  with_rounds.total_encodes = 1500;
+  with_rounds.round_encodes = 150;
+  hdc::instrument::reset();
+  const auto result =
+      run_scheduled_campaign(model(), strategy, inputs, with_rounds);
+  EXPECT_GT(result.rounds, 0u);
+  EXPECT_EQ(hdc::instrument::dense_hv_materializations(), dense)
+      << "a scheduling round materialized a dense Hypervector";
+  EXPECT_EQ(hdc::instrument::packed_from_dense(), repacks)
+      << "a scheduling round re-packed a dense query";
 }
 
 }  // namespace

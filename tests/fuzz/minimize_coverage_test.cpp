@@ -115,13 +115,13 @@ TEST(NoveltyArchive, ValidatesThreshold) {
 TEST(NoveltyArchive, EmptyArchiveHasMaximalNovelty) {
   NoveltyArchive archive;
   util::Rng rng(1);
-  EXPECT_DOUBLE_EQ(archive.novelty(hdc::Hypervector::random(256, rng)), 2.0);
+  EXPECT_DOUBLE_EQ(archive.novelty(hdc::PackedHv::random(256, rng)), 2.0);
 }
 
 TEST(NoveltyArchive, KnownVectorHasZeroNovelty) {
   NoveltyArchive archive;
   util::Rng rng(2);
-  const auto v = hdc::Hypervector::random(512, rng);
+  const auto v = hdc::PackedHv::random(512, rng);
   archive.add(v);
   EXPECT_NEAR(archive.novelty(v), 0.0, 1e-12);
 }
@@ -129,8 +129,8 @@ TEST(NoveltyArchive, KnownVectorHasZeroNovelty) {
 TEST(NoveltyArchive, RandomVectorsAreMutuallyNovel) {
   NoveltyArchive archive;
   util::Rng rng(3);
-  archive.add(hdc::Hypervector::random(4096, rng));
-  const auto other = hdc::Hypervector::random(4096, rng);
+  archive.add(hdc::PackedHv::random(4096, rng));
+  const auto other = hdc::PackedHv::random(4096, rng);
   // Orthogonal vectors: cosine ~ 0 -> novelty ~ 1.
   EXPECT_NEAR(archive.novelty(other), 1.0, 0.1);
 }
@@ -138,12 +138,12 @@ TEST(NoveltyArchive, RandomVectorsAreMutuallyNovel) {
 TEST(NoveltyArchive, ObserveArchivesAboveThresholdOnly) {
   NoveltyArchive archive(0.5);
   util::Rng rng(4);
-  const auto v = hdc::Hypervector::random(1024, rng);
+  const auto v = hdc::PackedHv::random(1024, rng);
   EXPECT_DOUBLE_EQ(archive.observe(v), 2.0);  // empty -> max novelty, added
   EXPECT_EQ(archive.size(), 1u);
   EXPECT_NEAR(archive.observe(v), 0.0, 1e-12);  // known -> not re-added
   EXPECT_EQ(archive.size(), 1u);
-  const auto other = hdc::Hypervector::random(1024, rng);
+  const auto other = hdc::PackedHv::random(1024, rng);
   archive.observe(other);  // novelty ~1 >= 0.5 -> added
   EXPECT_EQ(archive.size(), 2u);
 }
@@ -152,7 +152,7 @@ TEST(NoveltyArchive, CapacityBoundsGrowth) {
   NoveltyArchive archive(0.0, 2);
   util::Rng rng(5);
   for (int i = 0; i < 5; ++i) {
-    archive.add(hdc::Hypervector::random(128, rng));
+    archive.add(hdc::PackedHv::random(128, rng));
   }
   EXPECT_EQ(archive.size(), 2u);
 }
@@ -192,9 +192,24 @@ TEST_F(MinimizeCoverageTest, CoverageArchivePersistsAcrossInputs) {
   EXPECT_GE(fuzzer.archive().size(), after_first + 1);  // second clean input
 }
 
+/// Every FuzzOutcome field except wall time.
+void expect_same_outcome(const FuzzOutcome& a, const FuzzOutcome& b) {
+  EXPECT_EQ(a.success, b.success);
+  EXPECT_EQ(a.adversarial, b.adversarial);
+  EXPECT_EQ(a.reference_label, b.reference_label);
+  EXPECT_EQ(a.adversarial_label, b.adversarial_label);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.perturbation.l1, b.perturbation.l1);
+  EXPECT_EQ(a.perturbation.l2, b.perturbation.l2);
+  EXPECT_EQ(a.perturbation.linf, b.perturbation.linf);
+  EXPECT_EQ(a.perturbation.pixels_changed, b.perturbation.pixels_changed);
+  EXPECT_EQ(a.encodes, b.encodes);
+  EXPECT_EQ(a.discarded, b.discarded);
+}
+
 TEST_F(MinimizeCoverageTest, ZeroNoveltyWeightMatchesPlainGuidance) {
   // w = 0 reduces the objective to the paper's fitness; outcomes match the
-  // plain Fuzzer given identical RNG streams.
+  // plain Fuzzer given identical RNG streams, field for field.
   const RandNoiseMutation strategy;
   const Fuzzer plain(model(), strategy, FuzzConfig{});
   CoverageFuzzer coverage(model(), strategy, FuzzConfig{}, 0.0);
@@ -203,12 +218,30 @@ TEST_F(MinimizeCoverageTest, ZeroNoveltyWeightMatchesPlainGuidance) {
     util::Rng rb(seed);
     const auto oa = plain.fuzz_one(inputs().images[2], ra);
     const auto ob = coverage.fuzz_one(inputs().images[2], rb);
-    EXPECT_EQ(oa.success, ob.base.success);
-    EXPECT_EQ(oa.iterations, ob.base.iterations);
-    if (oa.success) {
-      EXPECT_EQ(oa.adversarial, ob.base.adversarial);
-    }
+    expect_same_outcome(oa, ob.base);
+    EXPECT_EQ(ra.next_u64(), rb.next_u64()) << "RNG streams diverged";
   }
+}
+
+TEST_F(MinimizeCoverageTest, ZeroNoveltyUnguidedMatchesUnguidedFuzzer) {
+  // The coverage loop honours FuzzConfig::guided: unguided survival is
+  // uniform (keep_random), exactly like the unguided Fuzzer baseline.
+  const RandNoiseMutation strategy;
+  FuzzConfig config;
+  config.guided = false;
+  const Fuzzer plain(model(), strategy, config);
+  CoverageFuzzer coverage(model(), strategy, config, 0.0);
+  std::size_t late_findings = 0;  // found after selection ran
+  for (std::size_t image = 0; image < inputs().size(); ++image) {
+    util::Rng ra(image);
+    util::Rng rb(image);
+    const auto oa = plain.fuzz_one(inputs().images[image], ra);
+    const auto ob = coverage.fuzz_one(inputs().images[image], rb);
+    late_findings += oa.success && oa.iterations > 1;
+    expect_same_outcome(oa, ob.base);
+    EXPECT_EQ(ra.next_u64(), rb.next_u64()) << "RNG streams diverged";
+  }
+  EXPECT_GT(late_findings, 0u);
 }
 
 TEST_F(MinimizeCoverageTest, VulnerabilityAnalysisRanksAndScores) {

@@ -118,17 +118,18 @@ TEST(HdcClassifier, PredictEncodedMatchesPredict) {
   HdcClassifier model(test_config(), 28, 28, 10);
   model.fit(digits().train);
   const auto& img = digits().test.images[3];
-  EXPECT_EQ(model.predict_encoded(model.encode(img)), model.predict(img));
+  EXPECT_EQ(model.am().predict(model.encoder().encode(img)),
+            model.predict(img));
 }
 
 TEST(HdcClassifier, SimilarityToClassMatchesSimilarities) {
   HdcClassifier model(test_config(), 28, 28, 10);
   model.fit(digits().train);
   const auto& img = digits().test.images[5];
-  const auto query = model.encode(img);
+  const auto query = model.encoder().encode(img);
   const auto sims = model.similarities(img);
   for (std::size_t c = 0; c < 10; ++c) {
-    EXPECT_DOUBLE_EQ(model.similarity_to_class(c, query), sims[c]);
+    EXPECT_DOUBLE_EQ(model.am().similarity_to(c, query), sims[c]);
   }
 }
 

@@ -149,7 +149,8 @@ TEST(IncrementalEncoder, RequiresRebaseBeforeUse) {
   const PixelEncoder enc(small_config(), 4, 4);
   IncrementalPixelEncoder inc(enc);
   EXPECT_FALSE(inc.has_base());
-  EXPECT_THROW(inc.encode_mutant(data::Image(4, 4, 0)), std::logic_error);
+  EXPECT_THROW((void)inc.encode_mutant_packed(data::Image(4, 4, 0)),
+               std::logic_error);
 }
 
 TEST(IncrementalEncoder, MatchesFullEncodeOnIdenticalImage) {
@@ -157,7 +158,8 @@ TEST(IncrementalEncoder, MatchesFullEncodeOnIdenticalImage) {
   IncrementalPixelEncoder inc(enc);
   const auto img = random_image(6, 6, 7);
   inc.rebase(img);
-  EXPECT_EQ(inc.encode_mutant(img), enc.encode(img));
+  EXPECT_EQ(inc.encode_mutant_packed(img),
+            PackedHv::from_dense(enc.encode(img)));
   EXPECT_EQ(inc.last_delta_count(), 0u);
 }
 
@@ -170,7 +172,8 @@ TEST(IncrementalEncoder, MatchesFullEncodeOnSparseMutation) {
   mutant(0, 0) = 13;
   mutant(7, 7) = 222;
   mutant(3, 5) = 0;
-  EXPECT_EQ(inc.encode_mutant(mutant), enc.encode(mutant));
+  EXPECT_EQ(inc.encode_mutant_packed(mutant),
+            PackedHv::from_dense(enc.encode(mutant)));
   EXPECT_LE(inc.last_delta_count(), 3u);
 }
 
@@ -179,7 +182,8 @@ TEST(IncrementalEncoder, MatchesFullEncodeOnTotalRewrite) {
   IncrementalPixelEncoder inc(enc);
   inc.rebase(random_image(8, 8, 9));
   const auto different = random_image(8, 8, 10);
-  EXPECT_EQ(inc.encode_mutant(different), enc.encode(different));
+  EXPECT_EQ(inc.encode_mutant_packed(different),
+            PackedHv::from_dense(enc.encode(different)));
 }
 
 TEST(IncrementalEncoder, RebaseSwitchesBase) {
@@ -191,14 +195,16 @@ TEST(IncrementalEncoder, RebaseSwitchesBase) {
   inc.rebase(second);
   auto mutant = second;
   mutant(2, 2) = 99;
-  EXPECT_EQ(inc.encode_mutant(mutant), enc.encode(mutant));
+  EXPECT_EQ(inc.encode_mutant_packed(mutant),
+            PackedHv::from_dense(enc.encode(mutant)));
 }
 
 TEST(IncrementalEncoder, ShapeMismatchThrows) {
   const PixelEncoder enc(small_config(), 5, 5);
   IncrementalPixelEncoder inc(enc);
   inc.rebase(data::Image(5, 5, 0));
-  EXPECT_THROW(inc.encode_mutant(data::Image(4, 5, 0)), std::invalid_argument);
+  EXPECT_THROW((void)inc.encode_mutant_packed(data::Image(4, 5, 0)),
+               std::invalid_argument);
 }
 
 TEST(IncrementalEncoder, QuantizedValueChangesBelowResolutionAreFree) {
@@ -211,10 +217,12 @@ TEST(IncrementalEncoder, QuantizedValueChangesBelowResolutionAreFree) {
   inc.rebase(base);
   auto mutant = base;
   mutant(1, 1) = 3;
-  EXPECT_EQ(inc.encode_mutant(mutant), enc.encode(base));
+  EXPECT_EQ(inc.encode_mutant_packed(mutant),
+            PackedHv::from_dense(enc.encode(base)));
 }
 
-// Property sweep over random mutation batches: incremental == full, always.
+// Property sweep over random mutation batches: the packed delta encode equals
+// the packed dense full encode, always.
 class IncrementalSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IncrementalSweep, AgreesWithFullEncode) {
@@ -230,7 +238,8 @@ TEST_P(IncrementalSweep, AgreesWithFullEncode) {
     const auto col = static_cast<std::size_t>(rng.uniform_u64(10));
     mutant(row, col) = static_cast<std::uint8_t>(rng.uniform_u64(256));
   }
-  EXPECT_EQ(inc.encode_mutant(mutant), enc.encode(mutant));
+  EXPECT_EQ(inc.encode_mutant_packed(mutant),
+            PackedHv::from_dense(enc.encode(mutant)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Batches, IncrementalSweep,

@@ -213,9 +213,9 @@ TEST(PackedAm, EndToEndClassifierAgreement) {
   HdcClassifier model(config, 28, 28, 10);
   model.fit(pair.train);
   for (const auto& image : pair.test.images) {
-    const auto query = model.encode(image);
+    const auto query = model.encoder().encode(image);
     EXPECT_EQ(model.am().predict_packed(PackedHv::from_dense(query)),
-              model.predict_encoded(query));
+              model.am().predict(query));
   }
 }
 

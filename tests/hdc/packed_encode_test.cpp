@@ -135,23 +135,6 @@ TEST(BitSliceAccumulator, ClearResetsCounts) {
   for (std::size_t i = 0; i < 128; ++i) ASSERT_EQ(acc.lane(i), 0);
 }
 
-TEST(AddBoundPacked, MatchesDenseAddBound) {
-  for (const auto dim : kDims) {
-    util::Rng rng(dim + 17);
-    const auto a = PackedHv::random(dim, rng);
-    const auto b = PackedHv::random(dim, rng);
-    Accumulator dense_acc(dim);
-    Accumulator packed_acc(dim);
-    dense_acc.add_bound(a.to_dense(), b.to_dense(), +1);
-    dense_acc.add_bound(b.to_dense(), a.to_dense(), -2);
-    packed_acc.add_bound_packed(a.words(), b.words(), +1);
-    packed_acc.add_bound_packed(b.words(), a.words(), -2);
-    for (std::size_t i = 0; i < dim; ++i) {
-      ASSERT_EQ(packed_acc.lane(i), dense_acc.lane(i)) << "dim=" << dim;
-    }
-  }
-}
-
 TEST(PackedHv, FromWordsValidates) {
   EXPECT_THROW((void)PackedHv::from_words(0, std::vector<std::uint64_t>{}), std::invalid_argument);
   EXPECT_THROW((void)PackedHv::from_words(64, {1, 2}), std::invalid_argument);
@@ -255,9 +238,6 @@ TEST(PackedEncode, EncodeMutantPackedMatchesDenseOnEveryBackend) {
             static_cast<std::uint8_t>(rng.uniform_u64(256));
       }
       EXPECT_EQ(inc.encode_mutant_packed(mutant),
-                PackedHv::from_dense(inc.encode_mutant(mutant)))
-          << backend->name << " dim=" << dim;
-      EXPECT_EQ(inc.encode_mutant_packed(mutant),
                 PackedHv::from_dense(enc.encode(mutant)))
           << backend->name << " dim=" << dim;
     }
@@ -279,7 +259,8 @@ TEST(PackedEncode, RebaseFromAccumulatorMatchesFullRebase) {
   mutant(4, 4) = static_cast<std::uint8_t>(mutant(4, 4) ^ 0xff);
   EXPECT_EQ(from_acc.encode_mutant_packed(mutant),
             full.encode_mutant_packed(mutant));
-  EXPECT_EQ(from_acc.encode_mutant(mutant), enc.encode(mutant));
+  EXPECT_EQ(from_acc.encode_mutant_packed(mutant),
+            PackedHv::from_dense(enc.encode(mutant)));
 }
 
 TEST(PackedEncode, RebaseFromAccumulatorValidates) {
@@ -314,21 +295,12 @@ TEST(PackedFitness, SimilarityToMatchesDenseExactly) {
       am.add(c, Hypervector::random(1000, rng));
     }
     am.finalize();
-    std::vector<PackedHv> packed_queries;
     for (std::size_t q = 0; q < 6; ++q) {
       const auto query = Hypervector::random(1000, rng);
       const auto packed = PackedHv::from_dense(query);
-      packed_queries.push_back(packed);
       for (std::size_t c = 0; c < 4; ++c) {
         ASSERT_EQ(am.packed().similarity_to(c, packed),
                   am.similarity_to(c, query));
-      }
-    }
-    for (const std::size_t workers : {1u, 3u}) {
-      const auto scores = am.packed().scores(packed_queries, 2, workers);
-      ASSERT_EQ(scores.size(), packed_queries.size());
-      for (std::size_t q = 0; q < packed_queries.size(); ++q) {
-        ASSERT_EQ(scores[q], am.packed().similarity_to(2, packed_queries[q]));
       }
     }
   }
@@ -343,7 +315,6 @@ TEST(PackedFitness, ValidatesClassAndDimension) {
   EXPECT_THROW((void)am.packed().similarity_to(3, query), std::out_of_range);
   EXPECT_THROW((void)am.packed().similarity_to(0, PackedHv::random(255, rng)),
                std::invalid_argument);
-  EXPECT_THROW((void)am.packed().scores({&query, 1}, 9), std::out_of_range);
 }
 
 }  // namespace

@@ -172,7 +172,7 @@ TEST_F(ClassifierBatchTest, EncodedOverloadAgreesWithImageOverload) {
   std::vector<Hypervector> queries;
   queries.reserve(pair().test.size());
   for (const auto& image : pair().test.images) {
-    queries.push_back(model.encode(image));
+    queries.push_back(model.encoder().encode(image));
   }
   EXPECT_EQ(model.predict_batch_encoded(queries),
             model.predict_batch(pair().test.images));
