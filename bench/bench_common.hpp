@@ -16,12 +16,15 @@
 ///
 /// EXPERIMENTS.md records the parameters used for the checked-in outputs.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -31,14 +34,21 @@
 
 namespace hdtest::benchutil {
 
-/// Reads an unsigned integer environment override.
+/// Reads an unsigned integer environment override. A set value that is not a
+/// plain decimal unsigned integer prints one "error:" line and exits 1, so a
+/// typo never runs a bench at its default scale.
 inline std::size_t env_u64(const char* name, std::size_t fallback) {
   const char* text = std::getenv(name);
   if (text == nullptr || *text == '\0') return fallback;
-  char* end = nullptr;
-  const auto value = std::strtoull(text, &end, 10);
-  return (end != nullptr && *end == '\0') ? static_cast<std::size_t>(value)
-                                          : fallback;
+  const char* const last = text + std::strlen(text);
+  std::size_t value = 0;
+  const auto [end, ec] = std::from_chars(text, last, value);
+  if (ec != std::errc{} || end != last) {
+    std::fprintf(stderr, "error: %s=%s is not an unsigned integer\n", name,
+                 text);
+    std::exit(1);
+  }
+  return value;
 }
 
 /// Scale knobs shared by the fuzzing benches.

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/checked.hpp"
+
 namespace hdtest::data {
 
 namespace {
@@ -19,6 +21,24 @@ std::uint32_t read_be32(std::istream& in, const std::string& path) {
          (static_cast<std::uint32_t>(bytes[1]) << 16) |
          (static_cast<std::uint32_t>(bytes[2]) << 8) |
          static_cast<std::uint32_t>(bytes[3]);
+}
+
+/// Throws unless \p in holds at least \p payload more bytes. Runs before any
+/// allocation sized from the header, so a hostile count cannot reserve
+/// memory the file does not back.
+void require_payload(std::istream& in, std::size_t payload, const char* what,
+                     const std::string& path) {
+  const auto here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(here);
+  if (!in || here < 0 || end < here) {
+    throw std::runtime_error("idx: cannot size " + path);
+  }
+  if (payload > static_cast<std::size_t>(end - here)) {
+    throw std::runtime_error(std::string("idx: truncated ") + what +
+                             " data in " + path);
+  }
 }
 
 void write_be32(std::ostream& out, std::uint32_t value) {
@@ -43,12 +63,16 @@ std::vector<Image> read_idx_images(const std::string& path) {
   const auto count = read_be32(in, path);
   const auto rows = read_be32(in, path);
   const auto cols = read_be32(in, path);
-  if (count > 0 && (rows == 0 || cols == 0)) {
+  if (count == 0) return {};
+  if (rows == 0 || cols == 0) {
     throw std::runtime_error("idx: zero image dimensions in " + path);
   }
+  const auto image_bytes = util::checked_mul(rows, cols, "idx: image");
+  require_payload(in, util::checked_mul(count, image_bytes, "idx: image data"),
+                  "image", path);
   std::vector<Image> images;
   images.reserve(count);
-  std::vector<std::uint8_t> buffer(static_cast<std::size_t>(rows) * cols);
+  std::vector<std::uint8_t> buffer(image_bytes);
   for (std::uint32_t i = 0; i < count; ++i) {
     in.read(reinterpret_cast<char*>(buffer.data()),
             static_cast<std::streamsize>(buffer.size()));
@@ -66,6 +90,7 @@ std::vector<std::uint8_t> read_idx_labels(const std::string& path) {
     throw std::runtime_error("idx: bad label magic in " + path);
   }
   const auto count = read_be32(in, path);
+  require_payload(in, count, "label", path);
   std::vector<std::uint8_t> labels(count);
   in.read(reinterpret_cast<char*>(labels.data()),
           static_cast<std::streamsize>(labels.size()));

@@ -36,7 +36,7 @@ namespace hdtest::fuzz {
 /// A corpus of observed query hypervectors with nearest-neighbor novelty.
 ///
 /// HVs are stored bit-packed, so lookups are popcount-bound: a 10k-D archive
-/// of thousands of entries scans in microseconds (see hv_ops_gbench).
+/// of thousands of entries scans in microseconds.
 class NoveltyArchive {
  public:
   /// \param add_threshold minimum novelty (cosine distance in [0, 2]) for a

@@ -16,7 +16,6 @@ namespace {
 constexpr std::uint64_t kPositionTag = 0x01;
 constexpr std::uint64_t kValueTag = 0x02;
 constexpr std::uint64_t kTieBreakTag = 0x03;
-constexpr std::uint64_t kSymbolTag = 0x04;
 
 /// True when \p config keeps no value-codebook mirror: rematerialization
 /// needs rows that are pure functions of their per-row seed, which only the
@@ -356,65 +355,6 @@ HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
                                 out.data());
   out.back() &= util::tail_mask(n);
   return PackedHv::from_words(n, std::move(out));
-}
-
-NGramTextEncoder::NGramTextEncoder(const ModelConfig& config,
-                                   std::string_view alphabet, std::size_t n)
-    : config_((config.validate(), config)),
-      alphabet_(alphabet),
-      n_(n),
-      symbol_memory_(alphabet.empty() ? 1 : alphabet.size(), config.dim,
-                     util::derive_seed(config.seed, kSymbolTag),
-                     ValueStrategy::kRandom),
-      tie_break_([&] {
-        util::Rng rng(util::derive_seed(config.seed, kTieBreakTag));
-        return Hypervector::random(config.dim, rng);
-      }()) {
-  if (alphabet.empty()) {
-    throw std::invalid_argument("NGramTextEncoder: alphabet must be non-empty");
-  }
-  if (n == 0) {
-    throw std::invalid_argument("NGramTextEncoder: n must be >= 1");
-  }
-  // Precompute rho^{n-1-offset}(HV(s)) for every gram offset and symbol, so
-  // encode() never allocates a permuted copy per gram (the text path used to
-  // spend O(n*D) allocations per gram on these).
-  permuted_symbols_.reserve(n_ * alphabet_.size());
-  for (std::size_t offset = 0; offset < n_; ++offset) {
-    const auto shift = static_cast<std::ptrdiff_t>(n_ - 1 - offset);
-    for (std::size_t s = 0; s < alphabet_.size(); ++s) {
-      permuted_symbols_.push_back(shift == 0 ? symbol_memory_[s]
-                                             : permute(symbol_memory_[s], shift));
-    }
-  }
-}
-
-std::size_t NGramTextEncoder::symbol_index(char c) const {
-  const auto pos = alphabet_.find(c);
-  if (pos == std::string::npos) {
-    throw std::invalid_argument(std::string("NGramTextEncoder: character '") +
-                                c + "' not in alphabet");
-  }
-  return pos;
-}
-
-Hypervector NGramTextEncoder::encode(std::string_view text) const {
-  Accumulator acc(config_.dim);
-  if (text.size() >= n_) {
-    // gram(i) = rho^{n-1}(HV(c_i)) (*) ... (*) rho^0(HV(c_{i+n-1})), with
-    // every permuted factor read from the precomputed table. The gram buffer
-    // is reused across grams (copy-assign keeps its capacity), so the loop
-    // allocates nothing in steady state.
-    Hypervector gram;
-    for (std::size_t i = 0; i + n_ <= text.size(); ++i) {
-      gram = permuted_symbol(0, symbol_index(text[i]));
-      for (std::size_t k = 1; k < n_; ++k) {
-        bind_inplace(gram, permuted_symbol(k, symbol_index(text[i + k])));
-      }
-      acc.add(gram);
-    }
-  }
-  return acc.bipolarize(tie_break_);
 }
 
 }  // namespace hdtest::hdc

@@ -20,14 +20,11 @@
 /// large win for the fuzzer's row/column mutations (exactness is
 /// unit-tested; speedup ablated in bench). It only produces packed queries,
 /// which keeps every image fuzz loop dense-free end to end.
-/// NGramTextEncoder implements the classic permute-bind n-gram text encoding
-/// (Rahimi et al., ISLPED'16) used by the language-extension example.
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "data/image.hpp"
@@ -254,48 +251,6 @@ class IncrementalPixelEncoder {
   mutable std::vector<std::uint64_t> new_row_scratch_;
   mutable std::vector<Patch> patches_;
   mutable std::size_t last_delta_count_ = 0;
-};
-
-/// Permute-bind n-gram text encoder for the language-identification
-/// extension (paper section V-E: HDTest only needs HV distances, so it
-/// applies to any HDC model structure).
-///
-/// gram(i) = rho^{n-1}(HV(c_i)) (*) rho^{n-2}(HV(c_{i+1})) (*) ... (*) HV(c_{i+n-1})
-/// textHV  = bipolarize(sum_i gram(i))
-class NGramTextEncoder {
- public:
-  /// \param alphabet the symbol set (index = item-memory slot)
-  /// \param n        n-gram order (>= 1)
-  /// \throws std::invalid_argument for empty alphabet or n == 0.
-  NGramTextEncoder(const ModelConfig& config, std::string_view alphabet,
-                   std::size_t n);
-
-  [[nodiscard]] std::size_t dim() const noexcept { return config_.dim; }
-  [[nodiscard]] std::size_t ngram_order() const noexcept { return n_; }
-
-  /// Encodes a text. Characters outside the alphabet throw
-  /// std::invalid_argument. Texts shorter than n yield the tie-break HV's
-  /// sign pattern (empty bundle).
-  [[nodiscard]] Hypervector encode(std::string_view text) const;
-
- private:
-  [[nodiscard]] std::size_t symbol_index(char c) const;
-
-  /// rho^{n-1-offset}(HV(symbol)) for gram offset \p offset.
-  [[nodiscard]] const Hypervector& permuted_symbol(std::size_t offset,
-                                                   std::size_t symbol) const noexcept {
-    return permuted_symbols_[offset * alphabet_.size() + symbol];
-  }
-
-  ModelConfig config_;
-  std::string alphabet_;
-  std::size_t n_;
-  ItemMemory symbol_memory_;
-  Hypervector tie_break_;
-  /// Precomputed permuted symbol table (n x alphabet, offset-major): rho^j
-  /// is applied once per symbol/offset at construction, so encode() performs
-  /// zero permute() allocations per gram.
-  std::vector<Hypervector> permuted_symbols_;
 };
 
 }  // namespace hdtest::hdc

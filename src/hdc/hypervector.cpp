@@ -71,31 +71,11 @@ void Hypervector::flip(std::size_t i) {
 Hypervector bind(const Hypervector& a, const Hypervector& b) {
   check_same_dim(a.dim(), b.dim(), "bind");
   Hypervector out = a;
-  bind_inplace(out, b);
-  return out;
-}
-
-void bind_inplace(Hypervector& a, const Hypervector& b) {
-  check_same_dim(a.dim(), b.dim(), "bind_inplace");
   // {-1,+1} is closed under multiplication, so the invariant holds.
-  for (std::size_t i = 0; i < a.elems_.size(); ++i) {
-    a.elems_[i] = static_cast<std::int8_t>(a.elems_[i] * b.elems_[i]);
+  for (std::size_t i = 0; i < out.elems_.size(); ++i) {
+    out.elems_[i] = static_cast<std::int8_t>(out.elems_[i] * b.elems_[i]);
   }
-}
-
-Hypervector permute(const Hypervector& v, std::ptrdiff_t k) {
-  const auto dim = static_cast<std::ptrdiff_t>(v.dim());
-  if (dim == 0) return v;
-  // Normalize the shift into [0, dim).
-  std::ptrdiff_t shift = k % dim;
-  if (shift < 0) shift += dim;
-  std::vector<std::int8_t> raw(static_cast<std::size_t>(dim));
-  for (std::ptrdiff_t i = 0; i < dim; ++i) {
-    std::ptrdiff_t j = i + shift;
-    if (j >= dim) j -= dim;
-    raw[static_cast<std::size_t>(j)] = v[static_cast<std::size_t>(i)];
-  }
-  return Hypervector::from_raw(std::move(raw));
+  return out;
 }
 
 std::int64_t dot(const Hypervector& a, const Hypervector& b) {
@@ -193,13 +173,6 @@ void Accumulator::add_bitsliced(const util::BitSliceAccumulator& bits) {
 
 void Accumulator::clear() noexcept {
   for (auto& lane : lanes_) lane = 0;
-}
-
-void Accumulator::merge(const Accumulator& other) {
-  check_same_dim(dim(), other.dim(), "Accumulator::merge");
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    lanes_[i] += other.lanes_[i];
-  }
 }
 
 Hypervector Accumulator::bipolarize(const Hypervector& tie_break) const {

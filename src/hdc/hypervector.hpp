@@ -4,15 +4,14 @@
 ///
 /// A hypervector (HV) is a high-dimensional vector with i.i.d. pseudo-random
 /// elements. This project follows the paper and uses *bipolar* HVs (elements
-/// in {-1, +1}, stored as int8_t). Three operations make up the HDC algebra:
+/// in {-1, +1}, stored as int8_t). Two operations make up the HDC algebra
+/// used here:
 ///
 ///  - multiplication (bind, element-wise product): produces an HV orthogonal
 ///    to both operands; for bipolar HVs it is its own inverse.
 ///  - addition (bundle, element-wise sum): preserves similarity to each
 ///    operand (~50% for two operands); performed in an integer Accumulator
 ///    and re-bipolarized with Eq. 1 of the paper.
-///  - permutation (cyclic shift): produces an HV orthogonal to the operand;
-///    invertible; used for sequence encoding.
 
 #include <cstddef>
 #include <cstdint>
@@ -73,20 +72,13 @@ class Hypervector {
     instrument::note_dense_hv();
   }
 
-  friend void bind_inplace(Hypervector& a, const Hypervector& b);
+  friend Hypervector bind(const Hypervector& a, const Hypervector& b);
 
   std::vector<std::int8_t> elems_;
 };
 
 /// Element-wise product a (*) b — the HDC bind. \pre equal dimensions.
 [[nodiscard]] Hypervector bind(const Hypervector& a, const Hypervector& b);
-
-/// In-place bind: a <- a (*) b. \pre equal dimensions.
-void bind_inplace(Hypervector& a, const Hypervector& b);
-
-/// Cyclic shift rho^k (element i moves to (i + k) mod D). Negative k shifts
-/// backward; permute(permute(v, k), -k) == v.
-[[nodiscard]] Hypervector permute(const Hypervector& v, std::ptrdiff_t k);
 
 /// Integer dot product. \pre equal dimensions.
 [[nodiscard]] std::int64_t dot(const Hypervector& a, const Hypervector& b);
@@ -148,9 +140,6 @@ class Accumulator {
     return lanes_;
   }
   [[nodiscard]] std::int32_t lane(std::size_t i) const { return lanes_.at(i); }
-
-  /// Merges another accumulator (lane-wise sum). \pre equal dims.
-  void merge(const Accumulator& other);
 
   /// Eq. 1 of the paper; zero lanes take the sign of tie_break[i].
   /// \pre tie_break.dim() == dim().

@@ -11,7 +11,7 @@
 /// This is the dense-binary-HDC rematerialization trick (Schmuck et al.,
 /// JETC'19) referenced in the paper's related work. The packed backend is an
 /// internal accelerator: tests assert bit-exact agreement with the dense
-/// int8 implementation, and bench/hv_ops_gbench quantifies the speedup
+/// int8 implementation, and bench/throughput quantifies the speedup
 /// (design decision 1 in DESIGN.md).
 
 #include <cstddef>

@@ -6,7 +6,7 @@
 /// uint64 words of sign bits (bit = 1 encodes element -1). Binding (element-
 /// wise multiply) becomes XOR and dot products reduce to popcounts, which is
 /// the classic dense-binary-HDC hardware trick (Schmuck et al., JETC'19)
-/// ablated in bench/hv_ops_gbench.
+/// measured against the dense path in bench/throughput.
 
 #include <algorithm>
 #include <bit>

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 namespace hdtest::data {
 namespace {
@@ -79,6 +81,29 @@ TEST_F(IdxTest, ReaderRejectsTruncatedFile) {
   // Truncate to half size.
   const auto full = std::filesystem::file_size(path("imgs"));
   std::filesystem::resize_file(path("imgs"), full / 2);
+  EXPECT_THROW(read_idx_images(path("imgs")), std::runtime_error);
+}
+
+/// Writes a bare idx3 image header (no pixel data) with the given fields.
+void write_image_header(const std::string& file, std::uint32_t count,
+                        std::uint32_t rows, std::uint32_t cols) {
+  std::ofstream out(file, std::ios::binary);
+  for (const std::uint32_t field : {0x00000803u, count, rows, cols}) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      out.put(static_cast<char>((field >> shift) & 0xffu));
+    }
+  }
+}
+
+TEST_F(IdxTest, HeaderOnlyFileWithHugeCountIsTruncatedNotAllocated) {
+  // The header promises ~3 TB of pixels; the reader must reject it from the
+  // file size instead of reserving memory for it (std::bad_alloc).
+  write_image_header(path("imgs"), 0xFFFFFFFFu, 28, 28);
+  EXPECT_THROW(read_idx_images(path("imgs")), std::runtime_error);
+}
+
+TEST_F(IdxTest, OverflowingImagePayloadThrows) {
+  write_image_header(path("imgs"), 0xFFFFFFFFu, 0xFFFFFFFFu, 0xFFFFFFFFu);
   EXPECT_THROW(read_idx_images(path("imgs")), std::runtime_error);
 }
 

@@ -1,12 +1,10 @@
-// Tests for hdc/encoder: the paper's pixel encoding, the incremental delta
-// re-encoder (must match full encoding bit-for-bit), and the n-gram text
-// encoder used by the language extension.
+// Tests for hdc/encoder: the paper's pixel encoding and the incremental delta
+// re-encoder (must match full encoding bit-for-bit).
 
 #include "hdc/encoder.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <stdexcept>
 
 #include "data/synthetic_digits.hpp"
@@ -244,58 +242,6 @@ TEST_P(IncrementalSweep, AgreesWithFullEncode) {
 
 INSTANTIATE_TEST_SUITE_P(Batches, IncrementalSweep,
                          ::testing::Range<std::uint64_t>(1, 13));
-
-TEST(NGramTextEncoder, ValidatesConstruction) {
-  EXPECT_THROW(NGramTextEncoder(small_config(), "", 3), std::invalid_argument);
-  EXPECT_THROW(NGramTextEncoder(small_config(), "ab", 0),
-               std::invalid_argument);
-  EXPECT_NO_THROW(NGramTextEncoder(small_config(), "ab", 2));
-}
-
-TEST(NGramTextEncoder, DeterministicAndSeedSensitive) {
-  const NGramTextEncoder enc(small_config(), "abc", 2);
-  EXPECT_EQ(enc.encode("abcabc"), enc.encode("abcabc"));
-  auto other_config = small_config();
-  other_config.seed = 777;
-  const NGramTextEncoder enc2(other_config, "abc", 2);
-  EXPECT_NE(enc.encode("abcabc"), enc2.encode("abcabc"));
-}
-
-TEST(NGramTextEncoder, RejectsForeignCharacters) {
-  const NGramTextEncoder enc(small_config(), "abc", 2);
-  EXPECT_THROW(enc.encode("abxc"), std::invalid_argument);
-}
-
-TEST(NGramTextEncoder, ShortTextYieldsEmptyBundleSigns) {
-  const NGramTextEncoder enc(small_config(), "abc", 3);
-  // Text shorter than n has no grams; result is the tie-break pattern and
-  // must at least be a valid bipolar HV of the right dimension.
-  const auto hv = enc.encode("ab");
-  EXPECT_EQ(hv.dim(), 512u);
-}
-
-TEST(NGramTextEncoder, SimilarTextsAreCloserThanDissimilar) {
-  const NGramTextEncoder enc(small_config(8192), "abcdefgh", 3);
-  const auto a1 = enc.encode("abcdabcdabcdabcdabcd");
-  const auto a2 = enc.encode("abcdabcdabcdabcdabce");  // one edit
-  const auto b = enc.encode("efghefghefghefghefgh");   // disjoint grams
-  EXPECT_GT(cosine(a1, a2), cosine(a1, b));
-  EXPECT_GT(cosine(a1, a2), 0.5);
-  EXPECT_LT(std::abs(cosine(a1, b)), 0.2);
-}
-
-TEST(NGramTextEncoder, OrderMatters) {
-  // Permute-bind encodes order: "ab" grams differ from "ba" grams.
-  const NGramTextEncoder enc(small_config(8192), "ab", 2);
-  const auto ab = enc.encode("abababababababab");
-  const auto ba = enc.encode("babababababababa");
-  EXPECT_LT(cosine(ab, ba), 0.9);
-}
-
-TEST(NGramTextEncoder, UnigramOrderIsBagOfSymbols) {
-  const NGramTextEncoder enc(small_config(4096), "abc", 1);
-  EXPECT_GT(cosine(enc.encode("aabbcc"), enc.encode("ccbbaa")), 0.99);
-}
 
 }  // namespace
 }  // namespace hdtest::hdc

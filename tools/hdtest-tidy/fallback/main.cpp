@@ -59,6 +59,7 @@ bool in_determinism_scope(const std::string& path) {
 
 bool in_checked_arith_scope(const std::string& path) {
   return filename_is(path, "serialize") || filename_is(path, "mmap_file") ||
+         (path_in(path, "src/data/") && filename_is(path, "idx")) ||
          path_in(path, "src/fuzz/fleet/durable/") ||
          path_in(path, "src/obs/") || path_in(path, "src/device/") ||
          (path_in(path, "src/fuzz/shard/") &&
