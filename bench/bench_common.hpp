@@ -14,19 +14,16 @@
 ///   HDTEST_WORKERS      campaign worker threads      (default 4)
 ///   HDTEST_SEED         master experiment seed       (default 42)
 ///
-/// EXPERIMENTS.md records the parameters used for the checked-in outputs.
+/// HDTEST_DIM, HDTEST_TRAIN_PC and HDTEST_TEST_PC must be positive.
 
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <system_error>
-#include <utility>
-#include <vector>
 
 #include "data/synthetic_digits.hpp"
 #include "hdc/classifier.hpp"
@@ -51,11 +48,22 @@ inline std::size_t env_u64(const char* name, std::size_t fallback) {
   return value;
 }
 
+/// env_u64 for a knob that sizes the model or its data: zero prints one
+/// "error:" line and exits 1 instead of reaching an uncaught exception later.
+inline std::size_t env_positive(const char* name, std::size_t fallback) {
+  const std::size_t value = env_u64(name, fallback);
+  if (value == 0) {
+    std::fprintf(stderr, "error: %s=0 must be positive\n", name);
+    std::exit(1);
+  }
+  return value;
+}
+
 /// Scale knobs shared by the fuzzing benches.
 struct BenchParams {
-  std::size_t dim = env_u64("HDTEST_DIM", 4096);
-  std::size_t train_per_class = env_u64("HDTEST_TRAIN_PC", 100);
-  std::size_t test_per_class = env_u64("HDTEST_TEST_PC", 40);
+  std::size_t dim = env_positive("HDTEST_DIM", 4096);
+  std::size_t train_per_class = env_positive("HDTEST_TRAIN_PC", 100);
+  std::size_t test_per_class = env_positive("HDTEST_TEST_PC", 40);
   std::size_t fuzz_images = env_u64("HDTEST_FUZZ_IMAGES", 100);
   std::size_t workers = env_u64("HDTEST_WORKERS", 4);
   std::uint64_t seed = env_u64("HDTEST_SEED", 42);
@@ -108,121 +116,6 @@ inline std::string out_dir() {
   const std::string dir = "bench_out";
   std::filesystem::create_directories(dir);
   return dir;
-}
-
-/// Minimal ordered JSON object builder for machine-readable bench baselines
-/// (the committed BENCH_*.json files that make the perf trajectory
-/// comparable PR-over-PR). Values are rendered on insertion; nest by adding
-/// a rendered object/array with add_raw(). No external dependency.
-class JsonObject {
- public:
-  JsonObject& add(const std::string& key, double value) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.10g", value);
-    return add_raw(key, buf);
-  }
-
-  JsonObject& add(const std::string& key, const std::string& value) {
-    // Full RFC 8259 string escaping: quotes, backslashes, and control
-    // characters (backend/strategy names come from env vars and subprocess
-    // output, so they are not guaranteed printable).
-    std::string quoted = "\"";
-    for (const char c : value) {
-      switch (c) {
-        case '"': quoted += "\\\""; break;
-        case '\\': quoted += "\\\\"; break;
-        case '\b': quoted += "\\b"; break;
-        case '\f': quoted += "\\f"; break;
-        case '\n': quoted += "\\n"; break;
-        case '\r': quoted += "\\r"; break;
-        case '\t': quoted += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(static_cast<unsigned char>(c)));
-            quoted += buf;
-          } else {
-            quoted += c;
-          }
-      }
-    }
-    quoted += '"';
-    return add_raw(key, std::move(quoted));
-  }
-
-  JsonObject& add(const std::string& key, const char* value) {
-    return add(key, std::string(value));
-  }
-
-  JsonObject& add(const std::string& key, bool value) {
-    return add_raw(key, value ? "true" : "false");
-  }
-
-  /// Adds an already-rendered JSON value (nested object or array).
-  JsonObject& add_raw(const std::string& key, std::string rendered) {
-    fields_.emplace_back(key, std::move(rendered));
-    return *this;
-  }
-
-  [[nodiscard]] std::string str() const {
-    std::string out = "{";
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += '"';
-      out += fields_[i].first;
-      out += "\": ";
-      out += fields_[i].second;
-    }
-    out += '}';
-    return out;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
-
-/// Renders a JSON array from pre-rendered element strings.
-[[nodiscard]] inline std::string json_array(
-    const std::vector<std::string>& items) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += items[i];
-  }
-  out += ']';
-  return out;
-}
-
-/// Writes a rendered JSON document (with trailing newline) to \p path.
-/// Returns false on I/O failure.
-inline bool write_json(const std::string& path, const std::string& rendered) {
-  std::ofstream file(path);
-  if (!file) return false;
-  file << rendered << '\n';
-  return static_cast<bool>(file);
-}
-
-/// Short git SHA of the working tree (with a "-dirty" suffix when the tree
-/// has uncommitted changes), or "unknown" outside a repo — recorded in the
-/// committed bench baselines so every number is attributable to a commit.
-inline std::string git_sha() {
-  const auto run = [](const char* cmd) -> std::string {
-    std::string out;
-    if (FILE* pipe = popen(cmd, "r")) {
-      char buf[128];
-      while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
-      pclose(pipe);
-    }
-    while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-      out.pop_back();
-    }
-    return out;
-  };
-  std::string sha = run("git rev-parse --short HEAD 2>/dev/null");
-  if (sha.empty()) return "unknown";
-  if (!run("git status --porcelain 2>/dev/null").empty()) sha += "-dirty";
-  return sha;
 }
 
 }  // namespace hdtest::benchutil

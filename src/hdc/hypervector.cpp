@@ -139,14 +139,13 @@ void Accumulator::add(const Hypervector& v, int weight) {
   }
 }
 
-void Accumulator::add_bound(const Hypervector& a, const Hypervector& b,
-                            int weight) {
+void Accumulator::add_bound(const Hypervector& a, const Hypervector& b) {
   check_same_dim(dim(), a.dim(), "Accumulator::add_bound");
   check_same_dim(a.dim(), b.dim(), "Accumulator::add_bound");
   const auto pa = a.elements();
   const auto pb = b.elements();
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    lanes_[i] += weight * pa[i] * pb[i];
+    lanes_[i] += pa[i] * pb[i];
   }
 }
 

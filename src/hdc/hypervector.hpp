@@ -119,7 +119,7 @@ class Accumulator {
 
   /// Adds the element-wise product a (*) b without materializing it.
   /// This is the hot path of pixel encoding: acc += posHV (*) valueHV.
-  void add_bound(const Hypervector& a, const Hypervector& b, int weight = 1);
+  void add_bound(const Hypervector& a, const Hypervector& b);
 
   /// Packed counterpart of add(): accumulates a sign-bit-packed HV
   /// (bit = 1 encodes -1) with the exact same lane updates as add() on its

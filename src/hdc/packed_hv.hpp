@@ -11,8 +11,8 @@
 /// This is the dense-binary-HDC rematerialization trick (Schmuck et al.,
 /// JETC'19) referenced in the paper's related work. The packed backend is an
 /// internal accelerator: tests assert bit-exact agreement with the dense
-/// int8 implementation, and bench/throughput quantifies the speedup
-/// (design decision 1 in DESIGN.md).
+/// int8 implementation, and perfbench/run.py --trace 1 reports the
+/// per-stage costs of the packed hot paths.
 
 #include <cstddef>
 #include <cstdint>

@@ -15,7 +15,7 @@ std::atomic<bool>& enabled_storage() noexcept {
   return flag;
 }
 
-/// RFC 8259 string escaping (same rules as benchutil::JsonObject).
+/// RFC 8259 string escaping: quotes, backslashes and control characters.
 void append_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {

@@ -21,8 +21,8 @@
 ///    cross-counter atomicity is explicitly not promised.
 ///
 /// Exporters: Prometheus-style text exposition (`render_prometheus`) and a
-/// JSON dump (`render_json`, same ordered-insertion/escaping idiom as
-/// benchutil::JsonObject). Metric names may embed Prometheus labels
+/// JSON dump (`render_json`, ordered insertion, RFC 8259 string escaping).
+/// Metric names may embed Prometheus labels
 /// directly — `fuzz_mutants_total{strategy="rand"}` is one registry entry
 /// whose exposition line is already well-formed.
 

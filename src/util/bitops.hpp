@@ -5,8 +5,8 @@
 /// A bipolar hypervector with D elements in {-1,+1} is stored as ceil(D/64)
 /// uint64 words of sign bits (bit = 1 encodes element -1). Binding (element-
 /// wise multiply) becomes XOR and dot products reduce to popcounts, which is
-/// the classic dense-binary-HDC hardware trick (Schmuck et al., JETC'19)
-/// measured against the dense path in bench/throughput.
+/// the classic dense-binary-HDC hardware trick (Schmuck et al., JETC'19).
+/// Tests pin every helper to the dense path bit for bit.
 
 #include <algorithm>
 #include <bit>

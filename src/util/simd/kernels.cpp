@@ -172,18 +172,4 @@ void set_kernels_for_testing(const char* name) {
   g_active.store(k, std::memory_order_release);
 }
 
-std::string cpu_features_string() {
-  std::string out;
-  const auto append = [&out](const char* flag) {
-    if (!out.empty()) out += ' ';
-    out += flag;
-  };
-  if (cpu().avx2) append("avx2");
-  if (cpu().avx512f) append("avx512f");
-  if (cpu().avx512vpopcntdq) append("avx512vpopcntdq");
-  if (cpu().neon) append("neon");
-  if (out.empty()) out = "baseline";
-  return out;
-}
-
 }  // namespace hdtest::util::simd

@@ -28,7 +28,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 
 namespace hdtest::util::simd {
 
@@ -117,9 +116,5 @@ struct Kernels {
 /// \throws std::invalid_argument for a name that is unknown, not compiled
 /// in, or unsupported by this CPU.
 void set_kernels_for_testing(const char* name);
-
-/// Space-separated CPU capability summary for bench provenance, e.g.
-/// "avx2 avx512f avx512vpopcntdq" (or "baseline" when none detected).
-[[nodiscard]] std::string cpu_features_string();
 
 }  // namespace hdtest::util::simd

@@ -9,6 +9,8 @@
 #include "data/synthetic_digits.hpp"
 #include "fuzz/mutation.hpp"
 #include "hdc/classifier.hpp"
+#include "obs/registry.hpp"
+#include "obs/trace.hpp"
 
 namespace hdtest::fuzz {
 namespace {
@@ -173,6 +175,17 @@ TEST_F(CampaignRunTest, ResultsAreIdenticalAcrossWorkerCounts) {
                 b.records[i].outcome.adversarial);
     }
   }
+
+  // Telemetry is out-of-band: metrics and tracing fully on must not move a
+  // record of the multi-worker run either.
+  const bool was_enabled = obs::enabled();
+  const bool was_tracing = obs::trace_enabled();
+  obs::set_enabled(true);
+  obs::set_trace_enabled(true);
+  const auto traced = run_campaign(fuzzer, inputs(), parallel);
+  obs::set_enabled(was_enabled);
+  obs::set_trace_enabled(was_tracing);
+  EXPECT_TRUE(identical_records(a, traced));
 }
 
 TEST_F(CampaignRunTest, TargetModeReachesRequestedCount) {

@@ -107,10 +107,14 @@ TEST(PackedAm, PredictBlockMatchesPerQueryOnEveryBackendBlockAndDim) {
   // boundaries, predict_block must return the same labels as per-query
   // predict() and the same DOUBLES as similarity_to() for both the argmax
   // and the reference class.
+  // {classes, dim}: the last case's 128 x 1 KiB prototype rows overflow L1,
+  // the shape where query blocking pays.
+  const std::size_t cases[][2] = {
+      {5, 63}, {5, 64}, {5, 65}, {5, 1000}, {5, 8192}, {128, 8192}};
   for (const auto* backend : util::simd::available_kernels()) {
     BackendGuard guard(backend->name);
-    for (const std::size_t dim : {63u, 64u, 65u, 1000u, 8192u}) {
-      const auto am = small_am(5, dim);
+    for (const auto& [classes, dim] : cases) {
+      const auto am = small_am(classes, dim);
       const auto& packed = am.packed();
       util::Rng rng(dim + 21);
       std::vector<PackedHv> queries;
@@ -120,12 +124,15 @@ TEST(PackedAm, PredictBlockMatchesPerQueryOnEveryBackendBlockAndDim) {
         ASSERT_EQ(sweep.labels.size(), queries.size());
         for (std::size_t q = 0; q < queries.size(); ++q) {
           EXPECT_EQ(sweep.labels[q], packed.predict(queries[q]))
-              << backend->name << " dim=" << dim << " block=" << block;
+              << backend->name << " classes=" << classes << " dim=" << dim
+              << " block=" << block;
           EXPECT_EQ(sweep.ref_scores[q], packed.similarity_to(2, queries[q]))
-              << backend->name << " dim=" << dim << " block=" << block;
+              << backend->name << " classes=" << classes << " dim=" << dim
+              << " block=" << block;
           EXPECT_EQ(sweep.best_scores[q],
                     packed.similarity_to(sweep.labels[q], queries[q]))
-              << backend->name << " dim=" << dim << " block=" << block;
+              << backend->name << " classes=" << classes << " dim=" << dim
+              << " block=" << block;
         }
       }
     }

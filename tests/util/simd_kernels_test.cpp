@@ -247,9 +247,5 @@ TEST(SimdKernels, AmSweepMatchesSwarWithAndWithoutRef) {
   }
 }
 
-TEST(SimdKernels, CpuFeaturesStringIsNonEmpty) {
-  EXPECT_FALSE(cpu_features_string().empty());
-}
-
 }  // namespace
 }  // namespace hdtest::util::simd
