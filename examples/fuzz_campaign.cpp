@@ -13,8 +13,10 @@
 /// With --mnist-dir the campaign runs on real MNIST IDX files (the paper's
 /// dataset); otherwise the synthetic digit generator is used.
 
+#include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "data/idx.hpp"
 #include "data/synthetic_digits.hpp"
@@ -109,6 +111,10 @@ int main(int argc, char** argv) {
     fuzz_config.guided = !args.get_bool("unguided");
     if (args.was_set("max-l2")) {
       const double max_l2 = args.get_double("max-l2");
+      if (!std::isfinite(max_l2) || max_l2 < 0) {
+        throw std::invalid_argument(
+            "--max-l2 must be a finite value >= 0 (0 disables the limit)");
+      }
       if (max_l2 > 0) {
         fuzz_config.budget.max_l2 = max_l2;
       } else {
@@ -126,6 +132,7 @@ int main(int argc, char** argv) {
     campaign_config.workers = args.get_u64("workers");
     campaign_config.max_streams = args.get_u64("max-streams");
     campaign_config.seed = seed;
+    campaign_config.validate();
 
     // Data: real MNIST when provided, synthetic otherwise.
     data::Dataset train;

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -70,6 +71,25 @@ class Image {
   std::size_t height_ = 0;
   std::vector<std::uint8_t> pixels_;
 };
+
+/// Calls visit(begin, end) on every 8-pixel word of \p a and \p b whose
+/// bytes are not all equal, then on the trailing partial word, in index
+/// order. Every differing pixel lies in a visited range (equal pixels may
+/// too), so sparse diffs cost one 8-byte compare per clean word.
+/// \pre a.size() == b.size().
+template <typename Visit>
+void for_each_unequal_word(std::span<const std::uint8_t> a,
+                           std::span<const std::uint8_t> b, Visit&& visit) {
+  constexpr std::size_t kWord = sizeof(std::uint64_t);
+  const std::size_t count = a.size();
+  std::size_t begin = 0;
+  for (; begin + kWord <= count; begin += kWord) {
+    if (std::memcmp(a.data() + begin, b.data() + begin, kWord) != 0) {
+      visit(begin, begin + kWord);
+    }
+  }
+  if (begin < count) visit(begin, count);
+}
 
 /// Normalized L1 distance: sum_i |a_i - b_i| / 255.
 ///

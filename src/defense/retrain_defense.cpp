@@ -10,7 +10,8 @@
 namespace hdtest::defense {
 
 void DefenseConfig::validate() const {
-  if (retrain_fraction <= 0.0 || retrain_fraction >= 1.0) {
+  // Written so that NaN, which fails every comparison, is rejected too.
+  if (!(retrain_fraction > 0.0 && retrain_fraction < 1.0)) {
     throw std::invalid_argument(
         "DefenseConfig: retrain_fraction must be in (0, 1)");
   }

@@ -11,6 +11,7 @@
 /// fittest seeds survive each fuzzing iteration (paper N = 3).
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "data/image.hpp"
@@ -41,5 +42,17 @@ void keep_fittest(std::vector<ScoredSeed>& pool, std::size_t n);
 /// Unguided alternative (the baseline of the paper's "12% faster" claim):
 /// keeps \p n uniformly random seeds from the pool.
 void keep_random(std::vector<ScoredSeed>& pool, std::size_t n, util::Rng& rng);
+
+/// The pool indices keep_fittest keeps, in the order it keeps them, for
+/// callers that carry per-seed state beside the pool: a stable sort by
+/// descending fitness cut to \p n, or every index in order when the pool
+/// already fits.
+void fittest_indices(std::span<const double> fitness, std::size_t n,
+                     std::vector<std::size_t>& kept);
+
+/// The pool indices keep_random keeps, in its order; draws from \p rng
+/// exactly when keep_random would.
+void random_indices(std::size_t pool_size, std::size_t n, util::Rng& rng,
+                    std::vector<std::size_t>& kept);
 
 }  // namespace hdtest::fuzz

@@ -1,5 +1,7 @@
 #include "fuzz/fuzzer.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -18,6 +20,12 @@ void FuzzConfig::validate() const {
   }
   if (keep_top_n == 0) {
     throw std::invalid_argument("FuzzConfig: keep_top_n must be >= 1");
+  }
+  for (const auto& limit : {budget.max_l1, budget.max_l2, budget.max_linf}) {
+    if (limit && !(std::isfinite(*limit) && *limit >= 0.0)) {
+      throw std::invalid_argument(
+          "FuzzConfig: budget limits must be finite and >= 0");
+    }
   }
 }
 
@@ -59,6 +67,10 @@ GenerationStep::GenerationStep(const MutationStrategy& strategy,
                                ScoredSeed first_parent)
     : strategy_(&strategy), config_(&config), original_(&original) {
   parents_.push_back(std::move(first_parent));
+  parent_slots_.push_back(kNoSlot);
+  for (std::size_t slot = slot_count(); slot-- > 0;) {
+    free_slots_.push_back(slot);
+  }
 }
 
 void GenerationStep::add_model(const hdc::PixelEncoder& encoder,
@@ -66,17 +78,25 @@ void GenerationStep::add_model(const hdc::PixelEncoder& encoder,
   models_.emplace_back(encoder);
   if (config_->use_incremental_encoder) {
     models_.back().rebase(*original_, base_acc);
+    banks_.emplace_back(slot_count());
   }
   queries_.emplace_back();
+}
+
+const hdc::SliceBank& GenerationStep::bank_at(std::size_t m,
+                                              std::size_t slot) const {
+  return slot == kNoSlot ? no_bank_ : banks_[m][slot];
 }
 
 void GenerationStep::breed(util::Rng& rng, FuzzOutcome& outcome) {
   ++outcome.iterations;
   mutants_.clear();
+  mutant_parents_.clear();
+  mutant_slots_.clear();
   perturbations_.clear();
   for (std::size_t s = 0; s < config_->seeds_per_iteration; ++s) {
-    data::Image mutant =
-        strategy_->mutate(parents_[s % parents_.size()].image, rng);
+    const std::size_t parent = s % parents_.size();
+    data::Image mutant = strategy_->mutate(parents_[parent].image, rng);
     // Paper IV: discard mutants beyond the perturbation threshold.
     const auto perturbation = measure_perturbation(*original_, mutant);
     if (!config_->budget.accepts(perturbation)) {
@@ -84,16 +104,26 @@ void GenerationStep::breed(util::Rng& rng, FuzzOutcome& outcome) {
       continue;
     }
     mutants_.push_back(std::move(mutant));
+    mutant_parents_.push_back(parent);
+    // Parents hold at most keep_top_n slots, so seeds_per_iteration are
+    // always free here.
+    mutant_slots_.push_back(free_slots_.back());
+    free_slots_.pop_back();
     perturbations_.push_back(perturbation);
   }
   // Packed end to end: no dense Hypervector is materialized and nothing is
   // re-packed via from_dense (asserted by tests/fuzz/dense_free_test).
   for (std::size_t m = 0; m < models_.size(); ++m) {
     queries_[m].clear();
-    for (const auto& mutant : mutants_) {
-      queries_[m].push_back(config_->use_incremental_encoder
-                                ? models_[m].encode_mutant_packed(mutant)
-                                : models_[m].encoder().encode_packed(mutant));
+    for (std::size_t b = 0; b < mutants_.size(); ++b) {
+      if (!config_->use_incremental_encoder) {
+        queries_[m].push_back(models_[m].encoder().encode_packed(mutants_[b]));
+        continue;
+      }
+      const std::size_t parent = mutant_parents_[b];
+      queries_[m].push_back(models_[m].encode_child_packed(
+          mutants_[b], parents_[parent].image,
+          bank_at(m, parent_slots_[parent]), banks_[m][mutant_slots_[b]]));
     }
   }
   outcome.encodes += mutants_.size() * models_.size();
@@ -102,18 +132,39 @@ void GenerationStep::breed(util::Rng& rng, FuzzOutcome& outcome) {
 
 void GenerationStep::select(util::Rng& rng) {
   // Line 14: continue with only the fittest seeds. Parents stay in the pool
-  // (elitism) so a lucky mutant is never thrown away.
-  pool_.clear();
-  for (std::size_t b = 0; b < mutants_.size(); ++b) {
-    pool_.push_back(ScoredSeed{std::move(mutants_[b]), fitness_[b]});
-  }
-  for (auto& parent : parents_) pool_.push_back(std::move(parent));
+  // (elitism) so a lucky mutant is never thrown away. The pool is mutants
+  // then parents, as keep_fittest/keep_random see it; selecting indices
+  // carries each survivor's bank slot along.
+  const std::size_t offspring = mutants_.size();
+  const std::size_t pool_size = offspring + parents_.size();
   if (config_->guided) {
-    keep_fittest(pool_, config_->keep_top_n);
+    pool_fitness_.assign(fitness_.begin(), fitness_.end());
+    for (const auto& parent : parents_) pool_fitness_.push_back(parent.fitness);
+    fittest_indices(pool_fitness_, config_->keep_top_n, kept_);
   } else {
-    keep_random(pool_, config_->keep_top_n, rng);
+    random_indices(pool_size, config_->keep_top_n, rng, kept_);
   }
-  parents_.swap(pool_);
+  next_parents_.clear();
+  next_slots_.clear();
+  for (const std::size_t i : kept_) {
+    if (i < offspring) {
+      next_parents_.push_back(ScoredSeed{std::move(mutants_[i]), fitness_[i]});
+      next_slots_.push_back(mutant_slots_[i]);
+    } else {
+      next_parents_.push_back(std::move(parents_[i - offspring]));
+      next_slots_.push_back(parent_slots_[i - offspring]);
+    }
+  }
+  parents_.swap(next_parents_);
+  parent_slots_.swap(next_slots_);
+  // Every slot no survivor holds goes back to the free list.
+  free_slots_.clear();
+  for (std::size_t slot = 0; slot < slot_count(); ++slot) {
+    if (std::find(parent_slots_.begin(), parent_slots_.end(), slot) ==
+        parent_slots_.end()) {
+      free_slots_.push_back(slot);
+    }
+  }
 }
 
 std::size_t judge_against_reference(const hdc::PackedAssocMemory& am,

@@ -64,7 +64,8 @@ struct FuzzConfig {
   /// are bit-identical either way; this only affects speed.
   bool use_incremental_encoder = true;
 
-  /// \throws std::invalid_argument on nonsensical values.
+  /// \throws std::invalid_argument on a zero size, or on an engaged budget
+  /// limit that is NaN, infinite or negative.
   void validate() const;
 };
 
@@ -113,6 +114,12 @@ inline constexpr std::size_t kNoFinding = static_cast<std::size_t>(-1);
 /// out-of-budget mutants, packed-encode the survivors once per model, hand
 /// them to a judge, and with no finding keep the top N of mutants + parents
 /// (keep_fittest when guided, keep_random otherwise).
+///
+/// With the delta encoder, every seed but the first parent holds one bank
+/// slot, and slot k of each model's pool is that seed's hdc::SliceBank, so
+/// a mutant is patched only where it differs from its parent. The pool has
+/// seeds_per_iteration + keep_top_n slots per model, reused across
+/// generations.
 /// Single-threaded: one instance per fuzzed input.
 class GenerationStep {
  public:
@@ -155,20 +162,39 @@ class GenerationStep {
   }
 
  private:
+  /// Slot of a seed that holds no bank (the first parent).
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
   void breed(util::Rng& rng, FuzzOutcome& outcome);
   void select(util::Rng& rng);
+  [[nodiscard]] std::size_t slot_count() const noexcept {
+    return config_->seeds_per_iteration + config_->keep_top_n;
+  }
+  /// Model \p m's bank at \p slot; a disengaged bank for kNoSlot.
+  [[nodiscard]] const hdc::SliceBank& bank_at(std::size_t m,
+                                              std::size_t slot) const;
 
   const MutationStrategy* strategy_;
   const FuzzConfig* config_;
   const data::Image* original_;
   std::vector<hdc::IncrementalPixelEncoder> models_;
+  /// Per model, the bank pool indexed by slot.
+  std::vector<std::vector<hdc::SliceBank>> banks_;
+  hdc::SliceBank no_bank_;
   std::vector<ScoredSeed> parents_;
+  std::vector<std::size_t> parent_slots_;
+  std::vector<std::size_t> free_slots_;
   // Per-generation scratch, reused across generations.
   std::vector<data::Image> mutants_;
+  std::vector<std::size_t> mutant_parents_;
+  std::vector<std::size_t> mutant_slots_;
   std::vector<Perturbation> perturbations_;
   std::vector<std::vector<hdc::PackedHv>> queries_;
   std::vector<double> fitness_;
-  std::vector<ScoredSeed> pool_;
+  std::vector<double> pool_fitness_;
+  std::vector<std::size_t> kept_;
+  std::vector<ScoredSeed> next_parents_;
+  std::vector<std::size_t> next_slots_;
 };
 
 /// Fuzzer's judge: one predict_block sweep, fitness[b] = 1 - Cosim(AM[y],

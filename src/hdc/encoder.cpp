@@ -1,6 +1,7 @@
 #include "hdc/encoder.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <stdexcept>
 
@@ -223,11 +224,23 @@ IncrementalPixelEncoder::IncrementalPixelEncoder(const PixelEncoder& encoder)
       old_row_scratch_(encoder.packed_value_memory().row_scratch_words()),
       new_row_scratch_(encoder.packed_value_memory().row_scratch_words()) {}
 
+namespace {
+
+/// A process-unique id per rebase(), so a SliceBank is only ever patched
+/// under the base it descends from.
+std::uint64_t next_lineage() noexcept {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
+
 void IncrementalPixelEncoder::rebase(const data::Image& image) {
   base_acc_.clear();
   encoder_->encode_into(image, base_acc_);
   base_ = image;
-  slices_stale_ = true;
+  lineage_ = next_lineage();
+  root_.engaged_ = false;
 }
 
 void IncrementalPixelEncoder::rebase(const data::Image& image, Accumulator acc) {
@@ -239,118 +252,154 @@ void IncrementalPixelEncoder::rebase(const data::Image& image, Accumulator acc) 
   }
   base_acc_ = std::move(acc);
   base_ = image;
-  slices_stale_ = true;
+  lineage_ = next_lineage();
+  root_.engaged_ = false;
 }
 
 void IncrementalPixelEncoder::rebuild_base_slices() const {
   // Biased bit-sliced mirror of the base lanes for the packed delta path.
   //
   // Lane values live in [-P, P] (P = pixel count). With bias B =
-  // bit_ceil(2P) every stored value s = lane + B is non-negative, and after
-  // any in-budget patch (pairs <= P/8, each adding 2*o_bit + 2*inv_n_bit <=
-  // 4 per lane) stays below 2B, so S = log2(B) + 1 slices always suffice —
-  // no carry is ever lost.
+  // bit_ceil(2P) every stored value is non-negative, and S = log2(B) + 1
+  // slices hold values up to 2B - 1.
+  //
+  // Lineage rule. Each patch pair adds 2*old_bit + 2*(~new_bit) to a lane's
+  // stored value: the true lane change plus 2. A bank that is pairs patch
+  // pairs away from this root (summed over its whole lineage, not the
+  // pixels that differ from the base) therefore stores lane + B + 2*pairs,
+  // its Eq. 1 threshold is B + 2*pairs, and it cannot overflow while
+  //   P + B + 2*pairs <= 2B - 1, i.e. pairs <= (B - P - 1) / 2
+  // (631 at P = 784). encode_child_packed falls back to this root bank past
+  // that headroom; a root patch is sparse (pairs <= P/8) and always fits.
   const std::size_t n = encoder_->dim();
   const std::size_t words = util::words_for_bits(n);
   const std::size_t pixels = base_.pixels().size();
   const std::uint64_t bias = std::bit_ceil(2 * static_cast<std::uint64_t>(pixels));
   bias_ = static_cast<std::int32_t>(bias);
   slice_count_ = static_cast<std::size_t>(std::bit_width(bias));
-  base_slices_.assign(slice_count_ * words, 0);
+  max_lineage_pairs_ = static_cast<std::size_t>((bias - pixels - 1) / 2);
+  root_.slices_.assign(slice_count_ * words, 0);
   const auto lanes = base_acc_.lanes();
   for (std::size_t w = 0, base_idx = 0; base_idx < n; ++w, base_idx += 64) {
     const std::size_t chunk = std::min<std::size_t>(64, n - base_idx);
     for (std::size_t b = 0; b < chunk; ++b) {
       const auto s = static_cast<std::uint32_t>(lanes[base_idx + b] + bias_);
       for (std::size_t j = 0; j < slice_count_; ++j) {
-        base_slices_[j * words + w] |= static_cast<std::uint64_t>((s >> j) & 1u)
-                                       << b;
+        root_.slices_[j * words + w] |=
+            static_cast<std::uint64_t>((s >> j) & 1u) << b;
       }
     }
   }
+  root_.pairs_ = 0;
+  root_.lineage_ = lineage_;
+  root_.engaged_ = true;
 }
 
-void IncrementalPixelEncoder::collect_patches(const data::Image& mutant) const {
+void IncrementalPixelEncoder::collect_patches(const data::Image& from,
+                                              const data::Image& mutant) const {
+  patches_.clear();
+  const auto from_px = from.pixels();
+  const auto mut_px = mutant.pixels();
+  std::size_t deltas = 0;
+  data::for_each_unequal_word(
+      from_px, mut_px, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t p = begin; p < end; ++p) {
+          if (from_px[p] == mut_px[p]) continue;
+          const auto old_idx = encoder_->value_index(from_px[p]);
+          const auto new_idx = encoder_->value_index(mut_px[p]);
+          if (old_idx != new_idx) {
+            patches_.push_back(Patch{static_cast<std::uint32_t>(p),
+                                     static_cast<std::uint32_t>(old_idx),
+                                     static_cast<std::uint32_t>(new_idx)});
+          }
+          ++deltas;
+        }
+      });
+  last_delta_count_ = deltas;
+}
+
+HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
+    const data::Image& mutant) const {
+  return encode_child_packed(mutant, base_, root_, scratch_bank_);
+}
+
+HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_child_packed(
+    const data::Image& mutant, const data::Image& parent,
+    const SliceBank& parent_bank, SliceBank& child_bank) const {
   if (!has_base()) {
     throw std::logic_error("IncrementalPixelEncoder: encode before rebase()");
   }
   if (mutant.width() != base_.width() || mutant.height() != base_.height()) {
     throw std::invalid_argument("IncrementalPixelEncoder: shape mismatch with base");
   }
-  patches_.clear();
-  const auto base_px = base_.pixels();
-  const auto mut_px = mutant.pixels();
-  std::size_t deltas = 0;
-  for (std::size_t p = 0; p < base_px.size(); ++p) {
-    if (base_px[p] == mut_px[p]) continue;
-    const auto old_idx = encoder_->value_index(base_px[p]);
-    const auto new_idx = encoder_->value_index(mut_px[p]);
-    if (old_idx != new_idx) {
-      patches_.push_back(Patch{static_cast<std::uint32_t>(p),
-                               static_cast<std::uint32_t>(old_idx),
-                               static_cast<std::uint32_t>(new_idx)});
-    }
-    ++deltas;
-  }
-  last_delta_count_ = deltas;
-}
 
-HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
-    const data::Image& mutant) const {
-  collect_patches(mutant);
+  // Lineage route: a bank with pairs 0 is the root's, so only a deeper
+  // ancestor saves work over the root route below.
+  if (parent_bank.engaged_ && parent_bank.lineage_ == lineage_ &&
+      parent_bank.pairs_ > 0) {
+    if (parent.width() != base_.width() || parent.height() != base_.height()) {
+      throw std::invalid_argument(
+          "IncrementalPixelEncoder: parent shape mismatch with base");
+    }
+    collect_patches(parent, mutant);
+    const std::size_t pairs = parent_bank.pairs_ + patches_.size();
+    if (patches_sparse() && pairs <= max_lineage_pairs_) {
+      return patch_slice_bank(parent_bank, pairs, child_bank);
+    }
+  }
 
   // Dense mutations (e.g. gauss noise rewrites nearly every pixel) are past
   // the point where patching pays: a fresh bit-sliced full encode costs
   // O(W*H * D/64) words against the patch path's O(pairs * D) bits. Both
   // compute the exact same integer sums, so the crossover is pure routing —
-  // and it keeps the slice arithmetic below within its bias headroom.
-  const std::size_t pixels = base_.pixels().size();
-  if (patches_.size() * 8 > pixels) {
+  // and it keeps the slice arithmetic within its bias headroom.
+  collect_patches(base_, mutant);
+  if (!patches_sparse()) {
+    child_bank.engaged_ = false;
     return encoder_->encode_packed(mutant);
   }
+  if (!root_.engaged_) rebuild_base_slices();
+  return patch_slice_bank(root_, patches_.size(), child_bank);
+}
 
-  // Lazily (re)build the slice bank: rerouted dense mutations never pay
-  // for it.
-  if (slices_stale_) {
-    rebuild_base_slices();
-    slices_stale_ = false;
-  }
-
+PackedHv IncrementalPixelEncoder::patch_slice_bank(const SliceBank& from,
+                                                   std::size_t pairs,
+                                                   SliceBank& to) const {
   // Carry-save delta patch entirely in sign-bit space. Each patch pair
   // contributes 2*(old_bit - new_bit) per lane, rewritten bias-free as
   //   2*old_bit + 2*(~new_bit) - 2,
   // so patching is two word-level ripple-carry adds per patch into the
   // biased slice bank (the device's encode_patch block), and the trailing
-  // constant folds into the sign threshold: lane < 0 <=> stored < T,
-  // lane == 0 <=> stored == T, with T = bias + 2*pairs. Eq. 1 then falls
-  // out of one bit-parallel MSB-down comparison per word (the device's
-  // slice_bipolarize_block) — never a dense intermediate, never an O(D)
-  // int32 pass. Bit-exact with the full encode of the mutant under every
-  // device backend and codebook storage mode.
+  // constants fold into the sign threshold: lane < 0 <=> stored < T,
+  // lane == 0 <=> stored == T, with T = bias + 2*pairs over the bank's
+  // whole lineage. Eq. 1 then falls out of one bit-parallel MSB-down
+  // comparison per word (the device's slice_bipolarize_block) — never a
+  // dense intermediate, never an O(D) int32 pass. Bit-exact with the full
+  // encode of the mutant under every device backend and codebook storage
+  // mode.
   const Device& device = active_device();
   const std::size_t n = encoder_->dim();
   const std::size_t words = util::words_for_bits(n);
   const std::size_t levels = slice_count_;
-  const std::uint64_t* src = base_slices_.data();
-  if (!patches_.empty()) {
-    slice_scratch_ = base_slices_;
-    std::uint64_t* slices = slice_scratch_.data();
-    const auto& positions = encoder_->packed_position_memory();
-    const auto& values = encoder_->packed_value_memory();
-    for (const auto& patch : patches_) {
-      device.encode_patch(
-          slices, words, levels,
-          positions.row(patch.position, pos_row_scratch_).data(),
-          values.row(patch.old_index, old_row_scratch_).data(),
-          values.row(patch.new_index, new_row_scratch_).data());
-    }
-    src = slices;
+  to.slices_.assign(from.slices_.begin(), from.slices_.end());
+  to.pairs_ = pairs;
+  to.lineage_ = lineage_;
+  to.engaged_ = true;
+  std::uint64_t* slices = to.slices_.data();
+  const auto& positions = encoder_->packed_position_memory();
+  const auto& values = encoder_->packed_value_memory();
+  for (const auto& patch : patches_) {
+    device.encode_patch(
+        slices, words, levels,
+        positions.row(patch.position, pos_row_scratch_).data(),
+        values.row(patch.old_index, old_row_scratch_).data(),
+        values.row(patch.new_index, new_row_scratch_).data());
   }
 
   const auto threshold = static_cast<std::uint32_t>(bias_) +
-                         2 * static_cast<std::uint32_t>(patches_.size());
+                         2 * static_cast<std::uint32_t>(pairs);
   std::vector<std::uint64_t> out(words, 0);
-  device.slice_bipolarize_block(src, words, levels, threshold,
+  device.slice_bipolarize_block(slices, words, levels, threshold,
                                 encoder_->tie_break_packed().words().data(),
                                 out.data());
   out.back() &= util::tail_mask(n);

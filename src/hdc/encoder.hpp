@@ -17,9 +17,11 @@
 ///
 /// IncrementalPixelEncoder exploits bundling's linearity to re-encode a
 /// mutated image in time proportional to the number of changed pixels — a
-/// large win for the fuzzer's row/column mutations (exactness is
-/// unit-tested; speedup ablated in bench). It only produces packed queries,
-/// which keeps every image fuzz loop dense-free end to end.
+/// large win for the fuzzer's sparse mutations (exactness is unit-tested).
+/// A mutant can be patched from its parent's SliceBank rather than from the
+/// original, so a lineage of 3-pixel mutations costs 3 patches per child.
+/// It only produces packed queries, which keeps every image fuzz loop
+/// dense-free end to end.
 
 #include <cstddef>
 #include <cstdint>
@@ -165,12 +167,37 @@ class PixelEncoder {
   PackedHv tie_break_packed_;
 };
 
+/// The biased bit-sliced lane bank of one delta-encoded image, kept so the
+/// image's children can be patched from it (IncrementalPixelEncoder::
+/// encode_child_packed). Slice j holds bit j of lane + bias + 2 * pairs()
+/// for every lane; pairs() counts the patch pairs applied since the root
+/// bank (the original's), not the pixels that differ from the original.
+/// A default bank is disengaged: it holds no image, and encoding from it
+/// takes the root route. Storage is reused when a bank is rewritten.
+class SliceBank {
+ public:
+  /// True when the bank holds an image's lanes.
+  [[nodiscard]] bool engaged() const noexcept { return engaged_; }
+  /// Patch pairs applied since the root bank (0 for the root itself).
+  [[nodiscard]] std::size_t pairs() const noexcept { return pairs_; }
+
+ private:
+  friend class IncrementalPixelEncoder;
+  std::vector<std::uint64_t> slices_;
+  std::size_t pairs_ = 0;
+  /// The IncrementalPixelEncoder::rebase() this bank descends from; a bank
+  /// from another base is never patched.
+  std::uint64_t lineage_ = 0;
+  bool engaged_ = false;
+};
+
 /// Delta re-encoder for mutated images.
 ///
 /// Bundling is linear: changing pixel p from value u to v shifts the
 /// accumulator by pixelHV(p, v) - pixelHV(p, u). rebase() performs a full
 /// encode (or adopts one); encode_mutant_packed() re-encodes any same-shape
-/// image in O(changed_pixels * D) bit operations instead of O(W*H*D).
+/// image in O(changed_pixels * D) bit operations instead of O(W*H*D), and
+/// encode_child_packed() does the same relative to a parent's SliceBank.
 /// Produces *exactly* the packed query of PixelEncoder::encode (asserted
 /// against the dense full encode by tests/encoder_test).
 class IncrementalPixelEncoder {
@@ -198,14 +225,33 @@ class IncrementalPixelEncoder {
   /// Encodes \p mutant relative to the current base: the delta patch
   /// through the packed codebooks followed by the fused Eq. 1 + pack. Never
   /// touches a dense Hypervector — the fuzzer's steady-state query path.
+  /// Same as encode_child_packed with the base as parent and the root bank.
   /// Bit-exact: == PackedHv::from_dense(encoder.encode(mutant)).
   /// \throws std::logic_error without a base; std::invalid_argument on shape
   /// mismatch.
   HDTEST_HOT_PATH [[nodiscard]] PackedHv encode_mutant_packed(
       const data::Image& mutant) const;
 
-  /// Number of pixel-HV updates performed by the last
-  /// encode_mutant_packed() call (for the ablation bench).
+  /// Encodes \p mutant, a child of \p parent whose bank is \p parent_bank,
+  /// and writes the child's bank into \p child_bank. Three exact routes:
+  ///   - patch the pixels where the child differs from its parent, when
+  ///     \p parent_bank is engaged, descends from the current base, and the
+  ///     lineage headroom (see rebuild_base_slices) has room;
+  ///   - otherwise patch the pixels where it differs from the base, from
+  ///     the root bank;
+  ///   - a dense child (more than 1 in 8 pixels re-indexed from the base)
+  ///     takes PixelEncoder::encode_packed and leaves \p child_bank
+  ///     disengaged.
+  /// Bit-exact with encode_mutant_packed(mutant) on every route.
+  /// \pre child_bank is not parent_bank.
+  /// \throws as encode_mutant_packed; std::invalid_argument when \p parent
+  /// has another shape.
+  HDTEST_HOT_PATH [[nodiscard]] PackedHv encode_child_packed(
+      const data::Image& mutant, const data::Image& parent,
+      const SliceBank& parent_bank, SliceBank& child_bank) const;
+
+  /// Number of pixels that differed from the image the last encode patched
+  /// from (the parent on the lineage route, the base otherwise).
   [[nodiscard]] std::size_t last_delta_count() const noexcept {
     return last_delta_count_;
   }
@@ -219,30 +265,41 @@ class IncrementalPixelEncoder {
     std::uint32_t new_index;
   };
 
-  /// Validates \p mutant against the base and fills patches_ with the
-  /// changed-pixel pairs (sets last_delta_count_).
-  void collect_patches(const data::Image& mutant) const;
+  /// Fills patches_ with the pairs that turn \p from into \p mutant (sets
+  /// last_delta_count_). \pre same shape.
+  void collect_patches(const data::Image& from,
+                       const data::Image& mutant) const;
 
-  /// Rebuilds the biased bit-sliced mirror of base_acc_ (see
-  /// encode_mutant_packed in encoder.cpp for the representation).
+  /// True when patches_ is sparse enough for the patch route.
+  [[nodiscard]] bool patches_sparse() const noexcept {
+    return patches_.size() * 8 <= base_.size();
+  }
+
+  /// Rebuilds root_, the biased bit-sliced mirror of base_acc_, and the
+  /// bias, slice count and lineage headroom that go with it.
   void rebuild_base_slices() const;
+
+  /// Copies \p from into \p to, applies patches_ to it, records \p pairs
+  /// (from's pairs plus patches_) and returns the Eq. 1 packing.
+  [[nodiscard]] PackedHv patch_slice_bank(const SliceBank& from,
+                                          std::size_t pairs,
+                                          SliceBank& to) const;
 
   const PixelEncoder* encoder_;
   data::Image base_;
   Accumulator base_acc_;
-  /// Bit-sliced biased base lanes: slice j holds bit j of lane + bias_ for
-  /// every lane (slice_count_ x words, level-major). Built lazily on the
-  /// first encode_mutant_packed() after a rebase; the packed delta path
-  /// patches a copy of this with word-level carry-save adds instead of
-  /// touching int32 lanes.
-  mutable std::vector<std::uint64_t> base_slices_;
+  /// Identifies the current base (process-unique, fresh per rebase()).
+  std::uint64_t lineage_ = 0;
+  /// The base's bank (pairs 0). Built lazily on the first sparse encode
+  /// after a rebase, so rerouted dense mutations never pay for it.
+  mutable SliceBank root_;
   mutable std::size_t slice_count_ = 0;
   mutable std::int32_t bias_ = 0;
-  mutable bool slices_stale_ = true;
-  /// Per-call scratch reused across encode_mutant_packed calls (one
+  mutable std::size_t max_lineage_pairs_ = 0;
+  /// Child bank of encode_mutant_packed, whose result nobody keeps (one
   /// instance is only ever used from one thread; the fuzz loop creates one
   /// per fuzz_one call — mirrors the last_delta_count_ contract).
-  mutable std::vector<std::uint64_t> slice_scratch_;
+  mutable SliceBank scratch_bank_;
   /// Row scratch for rematerializing codebooks (sized once in the ctor via
   /// PackedItemMemory::row_scratch_words(); empty — and never written — for
   /// stored mirrors, whose rows are served in place).

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -100,6 +102,15 @@ TEST_F(DefenseTest, ConfigValidation) {
   config = defense::DefenseConfig{};
   config.epochs = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST_F(DefenseTest, ConfigRejectsFractionsOutsideTheOpenUnitInterval) {
+  for (const double fraction :
+       {std::nan(""), std::numeric_limits<double>::infinity(), 1.5, -0.5}) {
+    defense::DefenseConfig config;
+    config.retrain_fraction = fraction;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << fraction;
+  }
 }
 
 TEST_F(DefenseTest, RejectsTinyPools) {

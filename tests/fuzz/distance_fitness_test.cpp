@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <utility>
 
 namespace hdtest::fuzz {
 namespace {
@@ -22,6 +25,39 @@ TEST(MeasurePerturbation, ComputesAllMetrics) {
   EXPECT_NEAR(p.l2, std::sqrt(1.0 + 0.04), 1e-12);
   EXPECT_NEAR(p.linf, 1.0, 1e-12);
   EXPECT_EQ(p.pixels_changed, 2u);
+}
+
+// One pass must reproduce the four reference metrics bit for bit: == on the
+// doubles, over sparse and dense diffs, on an image whose pixel count is not
+// a multiple of the 8-pixel compare word.
+TEST(MeasurePerturbation, MatchesReferenceMetricsExactly) {
+  util::Rng rng(2024);
+  for (const auto& [width, height] :
+       {std::pair<std::size_t, std::size_t>{28, 28}, {13, 7}}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      data::Image original(width, height, 0);
+      for (auto& px : original.pixels()) {
+        px = static_cast<std::uint8_t>(rng.uniform_u64(256));
+      }
+      data::Image mutant = original;
+      const std::size_t pixels = original.size();
+      // Even trials are sparse (a few pixels), odd ones dense (most pixels).
+      const std::size_t changes =
+          trial % 2 == 0 ? 1 + rng.uniform_u64(24) : pixels;
+      for (std::size_t c = 0; c < changes; ++c) {
+        mutant.pixels()[rng.uniform_u64(pixels)] =
+            static_cast<std::uint8_t>(rng.uniform_u64(256));
+      }
+      const auto p = measure_perturbation(original, mutant);
+      EXPECT_EQ(p.l1, data::l1_distance(original, mutant));
+      EXPECT_EQ(p.l2, data::l2_distance(original, mutant));
+      EXPECT_EQ(p.linf, data::linf_distance(original, mutant));
+      EXPECT_EQ(p.pixels_changed, original.count_diff(mutant));
+    }
+  }
+  EXPECT_THROW((void)measure_perturbation(data::Image(3, 3, 0),
+                                          data::Image(3, 4, 0)),
+               std::invalid_argument);
 }
 
 TEST(MeasurePerturbation, IdenticalImagesAreZero) {
@@ -146,6 +182,15 @@ TEST(KeepRandom, NoOpWhenPoolFits) {
   util::Rng rng(2);
   keep_random(pool, 3, rng);
   EXPECT_EQ(pool.size(), 1u);
+}
+
+TEST(KeepRandom, IndexFormDrawsOnlyWhenThePoolOverflows) {
+  util::Rng used(5);
+  util::Rng fresh(5);
+  std::vector<std::size_t> kept;
+  random_indices(3, 3, used, kept);
+  EXPECT_EQ(kept, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(used.next_u64(), fresh.next_u64());
 }
 
 TEST(KeepRandom, SelectionVariesWithRng) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -54,6 +56,27 @@ TEST_F(FuzzerTest, ConfigValidation) {
   config.keep_top_n = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   EXPECT_NO_THROW(FuzzConfig{}.validate());
+}
+
+TEST_F(FuzzerTest, ConfigRejectsNanInfiniteAndNegativeBudgetLimits) {
+  const double bad[] = {std::nan(""), std::numeric_limits<double>::infinity(),
+                        -1.0};
+  for (const double value : bad) {
+    for (auto limit : {&PerturbationBudget::max_l1, &PerturbationBudget::max_l2,
+                       &PerturbationBudget::max_linf}) {
+      FuzzConfig config;
+      config.budget.*limit = value;
+      EXPECT_THROW(config.validate(), std::invalid_argument) << value;
+    }
+  }
+  // Zero is a real (strict) limit, and a disengaged limit is unlimited.
+  FuzzConfig config;
+  config.budget.max_l1 = 0.0;
+  config.budget.max_l2 = 0.0;
+  config.budget.max_linf = 0.0;
+  EXPECT_NO_THROW(config.validate());
+  config.budget = PerturbationBudget::unlimited();
+  EXPECT_NO_THROW(config.validate());
 }
 
 TEST_F(FuzzerTest, RejectsUntrainedModel) {

@@ -75,27 +75,38 @@ TEST_P(StrategySweep, FuzzOneInvariantsHold) {
 }
 
 TEST_P(StrategySweep, DeterministicAcrossEncoderPaths) {
-  // Incremental and full re-encoding must agree for every strategy (the
-  // delta path sees wildly different change patterns per strategy).
+  // Lineage delta, root delta and full re-encoding must agree for every
+  // strategy (the delta path sees wildly different change patterns per
+  // strategy), over full-length runs, guided and unguided.
   const auto strategy = make_strategy(GetParam());
-  FuzzConfig fast;
-  fast.budget = default_budget_for_strategy(GetParam());
-  fast.iter_times = 8;
-  FuzzConfig slow = fast;
-  slow.use_incremental_encoder = false;
-  const Fuzzer fast_fuzzer(model(), *strategy, fast);
-  const Fuzzer slow_fuzzer(model(), *strategy, slow);
+  for (const bool guided : {true, false}) {
+    FuzzConfig fast;
+    fast.budget = default_budget_for_strategy(GetParam());
+    fast.guided = guided;
+    FuzzConfig slow = fast;
+    slow.use_incremental_encoder = false;
+    const Fuzzer fast_fuzzer(model(), *strategy, fast);
+    const Fuzzer slow_fuzzer(model(), *strategy, slow);
 
-  util::Rng ra(7);
-  util::Rng rb(7);
-  const auto oa = fast_fuzzer.fuzz_one(inputs().images[1], ra);
-  const auto ob = slow_fuzzer.fuzz_one(inputs().images[1], rb);
-  EXPECT_EQ(oa.success, ob.success);
-  EXPECT_EQ(oa.iterations, ob.iterations);
-  EXPECT_EQ(oa.encodes, ob.encodes);
-  if (oa.success) {
-    EXPECT_EQ(oa.adversarial, ob.adversarial);
-    EXPECT_EQ(oa.adversarial_label, ob.adversarial_label);
+    for (std::size_t i = 0; i < 5; ++i) {
+      util::Rng ra(7 + i);
+      util::Rng rb(7 + i);
+      const auto oa = fast_fuzzer.fuzz_one(inputs().images[i], ra);
+      const auto ob = slow_fuzzer.fuzz_one(inputs().images[i], rb);
+      SCOPED_TRACE(::testing::Message()
+                   << "input " << i << (guided ? " guided" : " unguided"));
+      EXPECT_EQ(oa.success, ob.success);
+      EXPECT_EQ(oa.adversarial, ob.adversarial);
+      EXPECT_EQ(oa.reference_label, ob.reference_label);
+      EXPECT_EQ(oa.adversarial_label, ob.adversarial_label);
+      EXPECT_EQ(oa.iterations, ob.iterations);
+      EXPECT_EQ(oa.perturbation.l1, ob.perturbation.l1);
+      EXPECT_EQ(oa.perturbation.l2, ob.perturbation.l2);
+      EXPECT_EQ(oa.perturbation.linf, ob.perturbation.linf);
+      EXPECT_EQ(oa.perturbation.pixels_changed, ob.perturbation.pixels_changed);
+      EXPECT_EQ(oa.encodes, ob.encodes);
+      EXPECT_EQ(oa.discarded, ob.discarded);
+    }
   }
 }
 

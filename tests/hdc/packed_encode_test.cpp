@@ -16,6 +16,7 @@
 
 #include "backend_guard.hpp"
 #include "data/synthetic_digits.hpp"
+#include "device_guard.hpp"
 #include "hdc/assoc_memory.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/packed_hv.hpp"
@@ -242,6 +243,129 @@ TEST(PackedEncode, EncodeMutantPackedMatchesDenseOnEveryBackend) {
           << backend->name << " dim=" << dim;
     }
   }
+}
+
+/// \p parent with \p count random pixels set to random values (the rand
+/// strategy's shape).
+data::Image mutate_pixels(const data::Image& parent, std::size_t count,
+                          util::Rng& rng) {
+  data::Image child = parent;
+  for (std::size_t c = 0; c < count; ++c) {
+    child.pixels()[rng.uniform_u64(child.size())] =
+        static_cast<std::uint8_t>(rng.uniform_u64(256));
+  }
+  return child;
+}
+
+// A 30-generation rand lineage encoded parent-relative: each child patches
+// only the pixels where it differs from its parent, and every encode is the
+// full encode's exact bits, on every backend, device, codebook storage and
+// value quantization.
+TEST(PackedEncode, LineageEncodeMatchesFullEncodeEverywhere) {
+  for (const auto* backend : util::simd::available_kernels()) {
+    BackendGuard kernel_guard(backend->name);
+    for (const auto* device : registered_devices()) {
+      DeviceGuard device_guard(device->name());
+      for (const auto mode : {CodebookMode::kStored, CodebookMode::kRemat}) {
+        for (const std::size_t levels : {256u, 16u}) {
+          ModelConfig config = config_for(1000, levels);
+          config.codebook = mode;
+          const PixelEncoder enc(config, 28, 28);
+          IncrementalPixelEncoder inc(enc);
+          const auto original = random_image(28, 28, levels);
+          inc.rebase(original);
+          util::Rng rng(levels + 1);
+          data::Image parent = original;
+          SliceBank parent_bank;
+          SliceBank child_bank;
+          for (int gen = 0; gen < 30; ++gen) {
+            const auto child = mutate_pixels(parent, 3, rng);
+            const auto query =
+                inc.encode_child_packed(child, parent, parent_bank, child_bank);
+            const std::string where =
+                std::string(backend->name) + " " + device->name() +
+                " levels=" + std::to_string(levels) +
+                " gen=" + std::to_string(gen);
+            ASSERT_EQ(query, enc.encode_packed(child)) << where;
+            EXPECT_LE(inc.last_delta_count(), 3u) << where;
+            ASSERT_TRUE(child_bank.engaged()) << where;
+            // Every re-indexed pixel is one more pair on the lineage.
+            EXPECT_GE(child_bank.pairs(), parent_bank.pairs()) << where;
+            EXPECT_LE(child_bank.pairs(),
+                      parent_bank.pairs() + inc.last_delta_count())
+                << where;
+            if (levels == 256) {
+              EXPECT_EQ(child_bank.pairs(),
+                        parent_bank.pairs() + inc.last_delta_count())
+                  << where;
+            }
+            parent = child;
+            std::swap(parent_bank, child_bank);
+          }
+        }
+      }
+    }
+  }
+}
+
+// P = 16 leaves a lineage headroom of (32 - 16 - 1) / 2 = 7 pairs. A
+// lineage that keeps re-mutating two pixels outgrows it, falls back to the
+// root bank (whose diff stays within 2 pixels), and stays bit-exact.
+TEST(PackedEncode, LineagePastHeadroomFallsBackToTheRoot) {
+  const PixelEncoder enc(config_for(65), 4, 4);
+  IncrementalPixelEncoder inc(enc);
+  const auto original = random_image(4, 4, 3);
+  inc.rebase(original);
+  data::Image parent = original;
+  SliceBank parent_bank;
+  SliceBank child_bank;
+  bool fell_back = false;
+  for (int gen = 0; gen < 40; ++gen) {
+    data::Image child = parent;
+    auto& px = child.pixels()[static_cast<std::size_t>(gen % 2)];
+    px = static_cast<std::uint8_t>(px + 97);
+    ASSERT_EQ(inc.encode_child_packed(child, parent, parent_bank, child_bank),
+              enc.encode_packed(child))
+        << "gen=" << gen;
+    ASSERT_TRUE(child_bank.engaged());
+    EXPECT_LE(child_bank.pairs(), 7u) << "gen=" << gen;
+    if (child_bank.pairs() <= parent_bank.pairs()) {
+      fell_back = true;
+      EXPECT_EQ(child_bank.pairs(), child.count_diff(original));
+    }
+    parent = child;
+    std::swap(parent_bank, child_bank);
+  }
+  EXPECT_TRUE(fell_back);
+}
+
+TEST(PackedEncode, DenseChildGetsNoBank) {
+  const PixelEncoder enc(config_for(1000), 10, 10);
+  IncrementalPixelEncoder inc(enc);
+  const auto original = random_image(10, 10, 5);
+  inc.rebase(original);
+  util::Rng rng(6);
+  const auto sparse = mutate_pixels(original, 3, rng);
+  SliceBank root_child;
+  (void)inc.encode_child_packed(sparse, original, SliceBank{}, root_child);
+  ASSERT_TRUE(root_child.engaged());
+
+  // Every pixel rewritten: the full encode's bits, and no bank to breed from.
+  data::Image dense = sparse;
+  for (auto& px : dense.pixels()) px = static_cast<std::uint8_t>(~px);
+  SliceBank dense_bank;
+  EXPECT_EQ(inc.encode_child_packed(dense, sparse, root_child, dense_bank),
+            enc.encode_packed(dense));
+  EXPECT_FALSE(dense_bank.engaged());
+
+  // A bank from before a rebase is never patched: its child takes the root
+  // route of the new base and is still exact.
+  inc.rebase(dense);
+  const auto after = mutate_pixels(sparse, 2, rng);
+  SliceBank after_bank;
+  EXPECT_EQ(inc.encode_child_packed(after, sparse, root_child, after_bank),
+            enc.encode_packed(after));
+  EXPECT_FALSE(after_bank.engaged());
 }
 
 TEST(PackedEncode, RebaseFromAccumulatorMatchesFullRebase) {
