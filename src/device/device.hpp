@@ -1,133 +1,16 @@
 #pragma once
 /// \file device.hpp
-/// Device backend abstraction over the packed compute hot paths.
-///
-/// Every steady-state cycle of the fuzz loop reduces to a handful of batch
-/// block operations: Hamming distance over packed words, the carry-save
-/// encode accumulation ladder, the delta re-encoder's patch pass, the two
-/// Eq. 1 bipolarize forms, and the query-blocked associative-memory sweep.
-/// Device is the submit surface for those blocks. Compute callers
-/// (PackedAssocMemory, the encoders, the fuzz loop, MappedModel serving)
-/// hold no backend knowledge — they call hdc::active_device() and submit
-/// blocks; which machine executes them is the device's business.
-///
-/// Two backends are registered:
-///
-///   cpu     production backend; forwards every block to the
-///           runtime-dispatched util::simd::Kernels table (SWAR / AVX2 /
-///           AVX-512 / NEON), so HDTEST_KERNEL_BACKEND keeps selecting the
-///           ISA underneath the device layer exactly as before.
-///   oracle  straight-line scalar reference implementations, independent of
-///           the kernel table — the executable specification every other
-///           backend must match bit-for-bit (property tests diff the two).
-///
-/// Selection mirrors the kernel layer: HDTEST_DEVICE ("cpu" / "oracle";
-/// unknown values warn and fall back to cpu) is read once on first use,
-/// and set_device_for_testing() forces a backend at run time. All backends
-/// produce identical bits for identical inputs; the contracts below are
-/// word-for-word those of util::simd::Kernels, which remains the layer where
-/// ISA dispatch and vendor intrinsics live.
-
-#include <cstddef>
-#include <cstdint>
-#include <span>
-
-#include "util/contracts.hpp"
+/// Stub kept only for the repository benchmark's result stamp, whose
+/// "device" field prints active_device().name(). Compute dispatch is the
+/// util::simd::Kernels table alone; this header goes away with that field.
+/// Nothing in the library, tests, benches or examples includes it.
 
 namespace hdtest::hdc {
 
-/// One compute backend. All block operations are pure word/lane transforms
-/// over caller-owned storage; none allocate or throw. Instances are
-/// process-lifetime singletons handed out by reference — never owned.
-class Device {
- public:
-  Device() = default;
-  Device(const Device&) = delete;
-  Device& operator=(const Device&) = delete;
-  virtual ~Device() = default;
-
-  /// Backend identifier: "cpu" or "oracle".
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-
-  /// popcount(a[i] ^ b[i]) summed over \p words words (packed Hamming
-  /// distance — the inference block).
-  HDTEST_HOT_PATH [[nodiscard]] virtual std::size_t hamming_block(
-      const std::uint64_t* a, const std::uint64_t* b,
-      std::size_t words) const noexcept = 0;
-
-  /// Ripple-carry adds one packed vector into a level-major bit-slice bank
-  /// (\p levels x \p words; the Harley–Seal CSA bundling ladder). The input
-  /// vector is a[w] when \p b is null, a[w] ^ b[w] otherwise (the bound
-  /// pixel HV, XORed in-register). \pre carry_out[0..words) is all-zero:
-  /// only words whose carry escaped the top level are written, and the
-  /// return is true when any did, letting the caller grow the ladder by one
-  /// level and re-zero the touched buffer.
-  HDTEST_HOT_PATH virtual bool encode_accumulate(
-      std::uint64_t* slices, std::size_t words, std::size_t levels,
-      const std::uint64_t* a, const std::uint64_t* b,
-      std::uint64_t* carry_out) const noexcept = 0;
-
-  /// The delta re-encoder's patch block: adds the one-pixel value swap
-  /// old -> new at packed position row \p pos into a biased slice bank as
-  /// two weight-2 ripple-carry adds per word,
-  ///   2*(pos^old)_bit + 2*(~(pos^new))_bit.
-  /// The caller's bias headroom guarantees no carry escapes the bank (see
-  /// IncrementalPixelEncoder::rebuild_base_slices).
-  HDTEST_HOT_PATH virtual void encode_patch(
-      std::uint64_t* slices, std::size_t words, std::size_t levels,
-      const std::uint64_t* pos, const std::uint64_t* old_val,
-      const std::uint64_t* new_val) const noexcept = 0;
-
-  /// Fused Eq. 1 + sign-bit packing over int32 accumulator lanes:
-  ///   out bit i = 1 (element -1) iff lanes[i] < 0, or lanes[i] == 0 with a
-  ///   set tie-break bit.
-  /// Writes words_for_bits(n) words; tail bits past n are zero.
-  HDTEST_HOT_PATH virtual void bipolarize_block(
-      const std::int32_t* lanes, std::size_t n, const std::uint64_t* tie_break,
-      std::uint64_t* out) const noexcept = 0;
-
-  /// Eq. 1 over a *bit-sliced biased* lane bank (the delta re-encoder's
-  /// representation): per lane, compare the stored \p levels-bit count
-  /// against \p threshold — less-than decides sign (-1), exact equality is
-  /// the Eq. 1 tie resolved from \p tie_break. The caller masks the tail
-  /// word.
-  HDTEST_HOT_PATH virtual void slice_bipolarize_block(
-      const std::uint64_t* slices, std::size_t words, std::size_t levels,
-      std::uint32_t threshold, const std::uint64_t* tie_break,
-      std::uint64_t* out) const noexcept = 0;
-
-  /// Query-blocked associative-memory sweep: classes outer, queries inner,
-  /// so every class prototype row is streamed exactly once per block while
-  /// the block of queries stays cache-resident. Per query q writes the
-  /// argmin-Hamming class (lowest index wins ties, matching the scalar
-  /// predict exactly) and its Hamming distance; when \p ref_ham is non-null
-  /// additionally records the distance to \p ref_class (the fuzzer's
-  /// fitness ingredient) in the same pass.
-  HDTEST_HOT_PATH virtual void am_sweep_block(
-      const std::uint64_t* am, std::size_t classes, std::size_t stride,
-      const std::uint64_t* const* queries, std::size_t count,
-      std::uint32_t* best_class, std::uint64_t* best_ham,
-      std::uint64_t* ref_ham, std::uint32_t ref_class) const noexcept = 0;
+struct DeviceStamp {
+  [[nodiscard]] const char* name() const noexcept { return "cpu"; }
 };
 
-/// The active backend. Selected once on first use (HDTEST_DEVICE override,
-/// else cpu); subsequent calls are one atomic load — cheap enough for the
-/// per-call hot paths that used to read the kernel table directly.
-[[nodiscard]] const Device& active_device() noexcept;
-
-/// Every registered backend (cpu first, then oracle). All are always
-/// constructible: the property tests sweep the full list.
-[[nodiscard]] std::span<const Device* const> registered_devices() noexcept;
-
-/// Test hook: forces the named backend. Passing nullptr or "" re-runs the
-/// default selection, honoring HDTEST_DEVICE.
-/// \throws std::invalid_argument for an unregistered name.
-void set_device_for_testing(const char* name);
-
-/// The production backend (SIMD kernel table underneath).
-[[nodiscard]] const Device& cpu_device() noexcept;
-
-/// The scalar reference backend (the bit-exactness oracle).
-[[nodiscard]] const Device& oracle_device() noexcept;
+[[nodiscard]] inline DeviceStamp active_device() noexcept { return {}; }
 
 }  // namespace hdtest::hdc

@@ -5,8 +5,8 @@
 #include <bit>
 #include <stdexcept>
 
-#include "device/device.hpp"
 #include "util/bitops.hpp"
+#include "util/simd/kernels.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hdtest::hdc {
@@ -369,15 +369,14 @@ PackedHv IncrementalPixelEncoder::patch_slice_bank(const SliceBank& from,
   // contributes 2*(old_bit - new_bit) per lane, rewritten bias-free as
   //   2*old_bit + 2*(~new_bit) - 2,
   // so patching is two word-level ripple-carry adds per patch into the
-  // biased slice bank (the device's encode_patch block), and the trailing
+  // biased slice bank (the csa_patch kernel), and the trailing
   // constants fold into the sign threshold: lane < 0 <=> stored < T,
   // lane == 0 <=> stored == T, with T = bias + 2*pairs over the bank's
   // whole lineage. Eq. 1 then falls out of one bit-parallel MSB-down
-  // comparison per word (the device's slice_bipolarize_block) — never a
-  // dense intermediate, never an O(D) int32 pass. Bit-exact with the full
-  // encode of the mutant under every device backend and codebook storage
-  // mode.
-  const Device& device = active_device();
+  // comparison per word (the slice_bipolarize kernel) — never a dense
+  // intermediate, never an O(D) int32 pass. Bit-exact with the full encode
+  // of the mutant under every kernel backend and codebook storage mode.
+  const util::simd::Kernels& kernels = util::simd::kernels();
   const std::size_t n = encoder_->dim();
   const std::size_t words = util::words_for_bits(n);
   const std::size_t levels = slice_count_;
@@ -389,7 +388,7 @@ PackedHv IncrementalPixelEncoder::patch_slice_bank(const SliceBank& from,
   const auto& positions = encoder_->packed_position_memory();
   const auto& values = encoder_->packed_value_memory();
   for (const auto& patch : patches_) {
-    device.encode_patch(
+    kernels.csa_patch(
         slices, words, levels,
         positions.row(patch.position, pos_row_scratch_).data(),
         values.row(patch.old_index, old_row_scratch_).data(),
@@ -399,9 +398,9 @@ PackedHv IncrementalPixelEncoder::patch_slice_bank(const SliceBank& from,
   const auto threshold = static_cast<std::uint32_t>(bias_) +
                          2 * static_cast<std::uint32_t>(pairs);
   std::vector<std::uint64_t> out(words, 0);
-  device.slice_bipolarize_block(slices, words, levels, threshold,
-                                encoder_->tie_break_packed().words().data(),
-                                out.data());
+  kernels.slice_bipolarize(slices, words, levels, threshold,
+                           encoder_->tie_break_packed().words().data(),
+                           out.data());
   out.back() &= util::tail_mask(n);
   return PackedHv::from_words(n, std::move(out));
 }

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "device/device.hpp"
 #include "hdc/packed_hv.hpp"
+#include "util/simd/kernels.hpp"
 
 namespace hdtest::hdc {
 
@@ -193,13 +193,13 @@ PackedHv Accumulator::bipolarize_packed(const PackedHv& tie_break) const {
   check_same_dim(dim(), tie_break.dim(), "Accumulator::bipolarize_packed");
   // Eq. 1 sign extraction straight into packed words — bit = 1 (element -1)
   // when the lane is negative, or zero with a negative tie-break element —
-  // submitted to the active compute device (branch-free SWAR, AVX2
-  // movemask, or AVX-512 compare masks underneath the cpu device; all
-  // bit-identical, including the scalar oracle device).
+  // run on the active kernel backend (branch-free SWAR, AVX2 movemask, or
+  // AVX-512 compare masks; all bit-identical to the scalar oracle).
   const std::size_t n = lanes_.size();
   std::vector<std::uint64_t> words(util::words_for_bits(n), 0);
-  active_device().bipolarize_block(lanes_.data(), n, tie_break.words().data(),
-                                   words.data());
+  util::simd::kernels().bipolarize_packed(lanes_.data(), n,
+                                          tie_break.words().data(),
+                                          words.data());
   return PackedHv::from_words(n, std::move(words));
 }
 

@@ -6,7 +6,7 @@
 
 #include "hdc/instrument.hpp"
 #include "util/bitops.hpp"
-#include "device/device.hpp"
+#include "util/simd/kernels.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hdtest::hdc {
@@ -149,7 +149,7 @@ std::span<const std::uint64_t> PackedAssocMemory::class_words(
 std::size_t PackedAssocMemory::predict(const PackedHv& query) const {
   check_query(query.dim());
   // One count=1 sweep submission: the class-row loop and the backend's
-  // popcount run fused inside the device's sweep block (one indirect call
+  // popcount run fused inside the am_sweep kernel (one indirect call
   // per query instead of one per class row). The sweep's strict < keeps the
   // lowest class index on ties, matching the dense argmax
   // (sims[c] > sims[best]) exactly: dot = D - 2*ham is a strictly
@@ -157,8 +157,8 @@ std::size_t PackedAssocMemory::predict(const PackedHv& query) const {
   const std::uint64_t* q = query.words().data();
   std::uint32_t best = 0;
   std::uint64_t best_ham = 0;
-  active_device().am_sweep_block(data_, num_classes_, stride_, &q, 1,
-                                 &best, &best_ham, nullptr, 0);
+  util::simd::kernels().am_sweep(data_, num_classes_, stride_, &q, 1, &best,
+                                 &best_ham, nullptr, 0);
   return best;
 }
 
@@ -245,7 +245,7 @@ HDTEST_HOT_PATH void PackedAssocMemory::sweep(std::span<const PackedHv> queries,
   for (const auto& query : queries) check_query(query.dim());
   if (queries.empty()) return;
 
-  // One pointer per query up front; each block then hands the device a
+  // One pointer per query up front; each block then hands the kernel a
   // contiguous window of pointers plus per-block output slices, so blocks
   // are independent and the parallel split cannot change any result.
   std::vector<const std::uint64_t*> query_words(queries.size());
@@ -258,17 +258,15 @@ HDTEST_HOT_PATH void PackedAssocMemory::sweep(std::span<const PackedHv> queries,
     best_ham_local.resize(queries.size());
     out_best_ham = best_ham_local.data();
   }
-  const Device& device = active_device();
+  const util::simd::Kernels& kernels = util::simd::kernels();
   const std::size_t blocks = (queries.size() + block - 1) / block;
   util::parallel_for(blocks, workers, [&](std::size_t bi) {
     const std::size_t begin = bi * block;
     const std::size_t count = std::min(block, queries.size() - begin);
-    device.am_sweep_block(data_, num_classes_, stride_,
-                          query_words.data() + begin, count,
-                          best_class.data() + begin, out_best_ham + begin,
-                          out_ref_ham == nullptr ? nullptr
-                                                 : out_ref_ham + begin,
-                          static_cast<std::uint32_t>(ref_class));
+    kernels.am_sweep(data_, num_classes_, stride_, query_words.data() + begin,
+                     count, best_class.data() + begin, out_best_ham + begin,
+                     out_ref_ham == nullptr ? nullptr : out_ref_ham + begin,
+                     static_cast<std::uint32_t>(ref_class));
   });
   for (std::size_t i = 0; i < queries.size(); ++i) {
     out_labels[i] = best_class[i];

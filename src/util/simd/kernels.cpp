@@ -82,6 +82,7 @@ const CpuFeatures& cpu() noexcept {
 
 bool cpu_supports(const Kernels& k) noexcept {
   if (std::strcmp(k.name, "swar") == 0) return true;
+  if (std::strcmp(k.name, "oracle") == 0) return true;
   if (std::strcmp(k.name, "avx2") == 0) return cpu().avx2;
   if (std::strcmp(k.name, "avx512") == 0) {
     return cpu().avx512f && cpu().avx512vpopcntdq;
@@ -90,12 +91,16 @@ bool cpu_supports(const Kernels& k) noexcept {
   return false;
 }
 
-/// Compiled backends in descending preference order (best first).
+/// Compiled backends in descending preference order (best first). The
+/// scalar oracle is last, so default selection never picks it; it is
+/// available only by name (HDTEST_KERNEL_BACKEND=oracle) and as the
+/// reference row of every backend sweep.
 const std::vector<const Kernels*>& registry() noexcept {
   static const std::vector<const Kernels*> backends = [] {
     std::vector<const Kernels*> out;
     for (const Kernels* k :
-         {avx512_kernels(), avx2_kernels(), neon_kernels(), swar_kernels()}) {
+         {avx512_kernels(), avx2_kernels(), neon_kernels(), swar_kernels(),
+          oracle_kernels()}) {
       if (k != nullptr) out.push_back(k);
     }
     return out;

@@ -9,21 +9,29 @@
 /// lanes (Schmuck et al., JETC'19), so each kernel is provided by several
 /// backends:
 ///
-///   swar    portable uint64 SWAR — always compiled, always correct; the
-///           reference every other backend must agree with bit-for-bit.
+///   swar    portable uint64 SWAR — always compiled; the production
+///           fallback on CPUs without a vector backend.
 ///   avx2    256-bit lanes; popcount via the vpshufb nibble-LUT + psadbw
 ///           reduction (Mula's method).
 ///   avx512  512-bit lanes with native VPOPCNTDQ popcounts (requires
 ///           AVX-512F + VPOPCNTDQ).
 ///   neon    aarch64 only: vcnt-based popcounts; the remaining kernels fall
 ///           back to SWAR.
+///   oracle  straight-line scalar loops — always compiled, never
+///           auto-selected; the reference every other backend must agree
+///           with bit-for-bit.
+///
+/// This table is the one compute seam: the encoders, the associative
+/// memories and util::BitSliceAccumulator call kernels() directly, so a new
+/// kernel is one field here plus one function per backend file.
 ///
 /// One backend is selected at startup: explicitly via the
 /// HDTEST_KERNEL_BACKEND environment variable ("swar" / "avx2" / "avx512" /
-/// "neon"; unknown or unsupported values warn and fall back), otherwise the
-/// best backend the CPU supports (detected via CPUID + XGETBV so AVX state
-/// must actually be OS-enabled). All backends produce identical bits for
-/// identical inputs — property tests sweep every compiled backend.
+/// "neon" / "oracle"; unknown or unsupported values warn and fall back),
+/// otherwise the best backend the CPU supports (detected via CPUID + XGETBV
+/// so AVX state must actually be OS-enabled). All backends produce
+/// identical bits for identical inputs — property tests sweep every
+/// available backend against the oracle.
 
 #include <cstddef>
 #include <cstdint>
@@ -34,7 +42,7 @@ namespace hdtest::util::simd {
 /// Function-pointer table of one kernel backend. All functions are pure
 /// word/lane transforms with caller-owned storage; none allocate or throw.
 struct Kernels {
-  /// Backend identifier: "swar", "avx2", "avx512", or "neon".
+  /// Backend identifier: "swar", "avx2", "avx512", "neon", or "oracle".
   const char* name;
 
   /// popcount(a[i] ^ b[i]) summed over \p words words (packed Hamming
@@ -102,13 +110,14 @@ struct Kernels {
 /// override, else best supported); subsequent calls are one atomic load.
 [[nodiscard]] const Kernels& kernels() noexcept;
 
-/// Every backend compiled into this binary (SWAR always; AVX2/AVX-512 when
-/// the compiler could target them; NEON on aarch64) — including ones this
-/// CPU cannot run.
+/// Every backend compiled into this binary (SWAR and the oracle always;
+/// AVX2/AVX-512 when the compiler could target them; NEON on aarch64) —
+/// including ones this CPU cannot run.
 [[nodiscard]] std::span<const Kernels* const> registered_kernels() noexcept;
 
-/// Compiled backends this CPU can actually execute (the set the property
-/// tests sweep). Never empty: SWAR is always present.
+/// Compiled backends this CPU can actually execute, best first (the set the
+/// property tests sweep). Never empty: SWAR and the oracle are always
+/// present, and the oracle is always last.
 [[nodiscard]] std::span<const Kernels* const> available_kernels() noexcept;
 
 /// Test hook: forces the named backend (must be available). Passing nullptr

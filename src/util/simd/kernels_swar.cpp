@@ -1,8 +1,9 @@
 /// \file kernels_swar.cpp
 /// Portable SWAR backend — uint64 word parallelism only, no ISA extensions.
-/// Always compiled, always selectable; this is the bit-exact reference the
-/// vector backends are property-tested against, and the code is the former
-/// inline hot-path bodies of util::BitSliceAccumulator,
+/// Always compiled, always selectable; the production fallback on CPUs
+/// without a vector backend. Like every backend it is property-tested
+/// bit-for-bit against the scalar oracle (kernels_oracle.cpp). The code is
+/// the former inline hot-path bodies of util::BitSliceAccumulator,
 /// Accumulator::bipolarize_packed, and the delta re-encoder, moved behind
 /// the kernel table verbatim.
 

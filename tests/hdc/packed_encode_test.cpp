@@ -16,7 +16,6 @@
 
 #include "backend_guard.hpp"
 #include "data/synthetic_digits.hpp"
-#include "device_guard.hpp"
 #include "hdc/assoc_memory.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/packed_hv.hpp"
@@ -259,49 +258,45 @@ data::Image mutate_pixels(const data::Image& parent, std::size_t count,
 
 // A 30-generation rand lineage encoded parent-relative: each child patches
 // only the pixels where it differs from its parent, and every encode is the
-// full encode's exact bits, on every backend, device, codebook storage and
-// value quantization.
+// full encode's exact bits, on every backend (the scalar oracle included),
+// codebook storage and value quantization.
 TEST(PackedEncode, LineageEncodeMatchesFullEncodeEverywhere) {
   for (const auto* backend : util::simd::available_kernels()) {
-    BackendGuard kernel_guard(backend->name);
-    for (const auto* device : registered_devices()) {
-      DeviceGuard device_guard(device->name());
-      for (const auto mode : {CodebookMode::kStored, CodebookMode::kRemat}) {
-        for (const std::size_t levels : {256u, 16u}) {
-          ModelConfig config = config_for(1000, levels);
-          config.codebook = mode;
-          const PixelEncoder enc(config, 28, 28);
-          IncrementalPixelEncoder inc(enc);
-          const auto original = random_image(28, 28, levels);
-          inc.rebase(original);
-          util::Rng rng(levels + 1);
-          data::Image parent = original;
-          SliceBank parent_bank;
-          SliceBank child_bank;
-          for (int gen = 0; gen < 30; ++gen) {
-            const auto child = mutate_pixels(parent, 3, rng);
-            const auto query =
-                inc.encode_child_packed(child, parent, parent_bank, child_bank);
-            const std::string where =
-                std::string(backend->name) + " " + device->name() +
-                " levels=" + std::to_string(levels) +
-                " gen=" + std::to_string(gen);
-            ASSERT_EQ(query, enc.encode_packed(child)) << where;
-            EXPECT_LE(inc.last_delta_count(), 3u) << where;
-            ASSERT_TRUE(child_bank.engaged()) << where;
-            // Every re-indexed pixel is one more pair on the lineage.
-            EXPECT_GE(child_bank.pairs(), parent_bank.pairs()) << where;
-            EXPECT_LE(child_bank.pairs(),
+    BackendGuard guard(backend->name);
+    for (const auto mode : {CodebookMode::kStored, CodebookMode::kRemat}) {
+      for (const std::size_t levels : {256u, 16u}) {
+        ModelConfig config = config_for(1000, levels);
+        config.codebook = mode;
+        const PixelEncoder enc(config, 28, 28);
+        IncrementalPixelEncoder inc(enc);
+        const auto original = random_image(28, 28, levels);
+        inc.rebase(original);
+        util::Rng rng(levels + 1);
+        data::Image parent = original;
+        SliceBank parent_bank;
+        SliceBank child_bank;
+        for (int gen = 0; gen < 30; ++gen) {
+          const auto child = mutate_pixels(parent, 3, rng);
+          const auto query =
+              inc.encode_child_packed(child, parent, parent_bank, child_bank);
+          const std::string where = std::string(backend->name) +
+                                    " levels=" + std::to_string(levels) +
+                                    " gen=" + std::to_string(gen);
+          ASSERT_EQ(query, enc.encode_packed(child)) << where;
+          EXPECT_LE(inc.last_delta_count(), 3u) << where;
+          ASSERT_TRUE(child_bank.engaged()) << where;
+          // Every re-indexed pixel is one more pair on the lineage.
+          EXPECT_GE(child_bank.pairs(), parent_bank.pairs()) << where;
+          EXPECT_LE(child_bank.pairs(),
+                    parent_bank.pairs() + inc.last_delta_count())
+              << where;
+          if (levels == 256) {
+            EXPECT_EQ(child_bank.pairs(),
                       parent_bank.pairs() + inc.last_delta_count())
                 << where;
-            if (levels == 256) {
-              EXPECT_EQ(child_bank.pairs(),
-                        parent_bank.pairs() + inc.last_delta_count())
-                  << where;
-            }
-            parent = child;
-            std::swap(parent_bank, child_bank);
           }
+          parent = child;
+          std::swap(parent_bank, child_bank);
         }
       }
     }

@@ -1,17 +1,21 @@
-// Property tests for the runtime-dispatched SIMD kernel layer: every
-// compiled-and-supported backend must agree bit-for-bit with the portable
-// SWAR reference on every kernel, across word counts that straddle the
-// vector widths (1/2/4/8-word boundaries plus the paper's operating
-// points). Also covers the selection API itself (registry shape, forced
-// selection, unknown-name rejection).
+// Property tests for the runtime-dispatched kernel layer: every
+// compiled-and-supported backend must agree bit-for-bit with the scalar
+// oracle on every kernel, across word counts that straddle the vector widths
+// (1/2/4/8-word boundaries plus the paper's operating points). The oracle
+// itself is pinned by absolute checks (planted AM matches, lowest-index
+// ties, zero tail bits, escaping carries). Also covers the selection API
+// itself (registry shape, forced selection, unknown-name rejection).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
 
+#include "util/bitops.hpp"
 #include "util/rng.hpp"
 #include "util/simd/kernels.hpp"
 
@@ -28,11 +32,11 @@ std::vector<std::uint64_t> random_words(std::size_t n, Rng& rng) {
   return out;
 }
 
-const Kernels& swar() {
+const Kernels& oracle() {
   for (const Kernels* k : registered_kernels()) {
-    if (std::strcmp(k->name, "swar") == 0) return *k;
+    if (std::strcmp(k->name, "oracle") == 0) return *k;
   }
-  throw std::logic_error("SWAR backend missing from the registry");
+  throw std::logic_error("oracle backend missing from the registry");
 }
 
 TEST(SimdRegistry, SwarIsAlwaysRegisteredAndAvailable) {
@@ -57,13 +61,11 @@ TEST(SimdRegistry, ActiveBackendIsAvailable) {
 }
 
 TEST(SimdRegistry, ForcingUnknownBackendThrows) {
+  const Kernels& before = kernels();
   EXPECT_THROW(set_kernels_for_testing("definitely-not-a-backend"),
                std::invalid_argument);
   // A failed force must not have changed the active backend.
-  const Kernels& active = kernels();
-  bool found = false;
-  for (const Kernels* k : available_kernels()) found |= k == &active;
-  EXPECT_TRUE(found);
+  EXPECT_EQ(&kernels(), &before);
 }
 
 TEST(SimdRegistry, ForcingEachAvailableBackendSticks) {
@@ -74,12 +76,35 @@ TEST(SimdRegistry, ForcingEachAvailableBackendSticks) {
   set_kernels_for_testing(nullptr);  // restore default selection
 }
 
-TEST(SimdKernels, XorPopcountMatchesSwarEverywhere) {
+TEST(SimdRegistry, OracleIsAvailableLastAndOnlyByName) {
+  const auto available = available_kernels();
+  ASSERT_FALSE(available.empty());
+  EXPECT_EQ(available.back(), &oracle());
+  // Automatic selection takes front(), which is always a production
+  // backend (SWAR at worst).
+  EXPECT_STRNE(available.front()->name, "oracle");
+
+  set_kernels_for_testing("oracle");
+  EXPECT_EQ(&kernels(), &oracle());
+  // An empty name re-runs the default selection, which honors
+  // HDTEST_KERNEL_BACKEND (so a forced-oracle run may legitimately stay on
+  // the oracle).
+  set_kernels_for_testing("");
+  const char* forced = std::getenv("HDTEST_KERNEL_BACKEND");
+  if (forced == nullptr || *forced == '\0') {
+    EXPECT_EQ(&kernels(), available.front());
+  }
+  bool found = false;
+  for (const Kernels* k : available) found |= k == &kernels();
+  EXPECT_TRUE(found) << kernels().name;
+}
+
+TEST(SimdKernels, XorPopcountMatchesOracleEverywhere) {
   Rng rng(11);
   for (const std::size_t n : kWordCounts) {
     const auto a = random_words(n, rng);
     const auto b = random_words(n, rng);
-    const auto expected = swar().xor_popcount(a.data(), b.data(), n);
+    const auto expected = oracle().xor_popcount(a.data(), b.data(), n);
     for (const Kernels* k : available_kernels()) {
       EXPECT_EQ(k->xor_popcount(a.data(), b.data(), n), expected)
           << k->name << " words=" << n;
@@ -92,10 +117,11 @@ TEST(SimdKernels, XorPopcountMatchesSwarEverywhere) {
   }
 }
 
-TEST(SimdKernels, CsaAddMatchesSwarIncludingEscapes) {
+TEST(SimdKernels, CsaAddMatchesOracleIncludingEscapes) {
   Rng rng(12);
+  bool any_escape = false;
   for (const std::size_t words : kWordCounts) {
-    for (const std::size_t levels : {1u, 3u, 5u}) {
+    for (const std::size_t levels : {1u, 2u, 3u, 5u}) {
       const auto bank0 = random_words(levels * words, rng);
       const auto a = random_words(words, rng);
       const auto b = random_words(words, rng);
@@ -103,9 +129,10 @@ TEST(SimdKernels, CsaAddMatchesSwarIncludingEscapes) {
         auto expected_bank = bank0;
         // All-zero on entry, per the csa_add contract.
         std::vector<std::uint64_t> expected_carry(words, 0);
-        const bool expected_escape = swar().csa_add(
+        const bool expected_escape = oracle().csa_add(
             expected_bank.data(), words, levels, a.data(),
             with_xor ? b.data() : nullptr, expected_carry.data());
+        any_escape |= expected_escape;
         for (const Kernels* k : available_kernels()) {
           auto bank = bank0;
           std::vector<std::uint64_t> carry(words, 0);
@@ -121,9 +148,12 @@ TEST(SimdKernels, CsaAddMatchesSwarIncludingEscapes) {
       }
     }
   }
+  // Random banks this shallow must overflow somewhere, so the escape path
+  // (flag plus carry buffer) was compared, not just the absorbed path.
+  EXPECT_TRUE(any_escape);
 }
 
-TEST(SimdKernels, CsaPatchMatchesSwar) {
+TEST(SimdKernels, CsaPatchMatchesOracle) {
   Rng rng(13);
   for (const std::size_t words : kWordCounts) {
     // Deep bank with zeroed top levels: realistic bias headroom, so the
@@ -135,7 +165,7 @@ TEST(SimdKernels, CsaPatchMatchesSwar) {
     const auto old_val = random_words(words, rng);
     const auto new_val = random_words(words, rng);
     auto expected = bank0;
-    swar().csa_patch(expected.data(), words, levels, pos.data(),
+    oracle().csa_patch(expected.data(), words, levels, pos.data(),
                      old_val.data(), new_val.data());
     for (const Kernels* k : available_kernels()) {
       auto bank = bank0;
@@ -146,7 +176,7 @@ TEST(SimdKernels, CsaPatchMatchesSwar) {
   }
 }
 
-TEST(SimdKernels, BipolarizePackedMatchesSwar) {
+TEST(SimdKernels, BipolarizePackedMatchesOracle) {
   Rng rng(14);
   for (const std::size_t dim : {63u, 64u, 65u, 1000u, 8192u}) {
     const std::size_t words = (dim + 63) / 64;
@@ -156,16 +186,19 @@ TEST(SimdKernels, BipolarizePackedMatchesSwar) {
     }
     const auto tb = random_words(words, rng);
     std::vector<std::uint64_t> expected(words, 0);
-    swar().bipolarize_packed(lanes.data(), dim, tb.data(), expected.data());
+    oracle().bipolarize_packed(lanes.data(), dim, tb.data(), expected.data());
     for (const Kernels* k : available_kernels()) {
-      std::vector<std::uint64_t> out(words, 0);
+      // Pre-set every bit: the kernel must write every word, and the bits
+      // past dim must come back zero.
+      std::vector<std::uint64_t> out(words, ~0ULL);
       k->bipolarize_packed(lanes.data(), dim, tb.data(), out.data());
       EXPECT_EQ(out, expected) << k->name << " dim=" << dim;
+      EXPECT_EQ(out.back() & ~tail_mask(dim), 0u) << k->name << " dim=" << dim;
     }
   }
 }
 
-TEST(SimdKernels, SliceBipolarizeMatchesSwar) {
+TEST(SimdKernels, SliceBipolarizeMatchesOracle) {
   Rng rng(15);
   for (const std::size_t words : kWordCounts) {
     for (const std::size_t levels : {1u, 4u, 11u}) {
@@ -174,7 +207,7 @@ TEST(SimdKernels, SliceBipolarizeMatchesSwar) {
       for (const std::uint32_t threshold :
            {0u, 1u, (1u << levels) - 1, 1u << (levels - 1)}) {
         std::vector<std::uint64_t> expected(words, 0);
-        swar().slice_bipolarize(bank.data(), words, levels, threshold,
+        oracle().slice_bipolarize(bank.data(), words, levels, threshold,
                                 tb.data(), expected.data());
         for (const Kernels* k : available_kernels()) {
           std::vector<std::uint64_t> out(words, 0);
@@ -189,32 +222,38 @@ TEST(SimdKernels, SliceBipolarizeMatchesSwar) {
   }
 }
 
-TEST(SimdKernels, AmSweepMatchesSwarWithAndWithoutRef) {
+TEST(SimdKernels, AmSweepMatchesOracleWithAndWithoutRef) {
   Rng rng(16);
-  for (const std::size_t stride : {1u, 2u, 16u, 128u}) {
+  for (const std::size_t stride : {1u, 2u, 8u, 16u, 128u}) {
     const std::size_t classes = 7;
-    const auto am = random_words(classes * stride, rng);
+    auto am = random_words(classes * stride, rng);
+    // Class 5 duplicates class 3, and query 2 is that row: an exact match
+    // tied between two classes, which the lower index must win.
+    std::copy_n(am.begin() + 3 * stride, stride, am.begin() + 5 * stride);
     const std::size_t count = 13;
     std::vector<std::vector<std::uint64_t>> queries;
     std::vector<const std::uint64_t*> qptrs;
     for (std::size_t q = 0; q < count; ++q) {
-      queries.push_back(random_words(stride, rng));
-      qptrs.push_back(queries.back().data());
+      queries.push_back(q == 2 ? std::vector<std::uint64_t>(
+                                     am.begin() + 3 * stride,
+                                     am.begin() + 4 * stride)
+                               : random_words(stride, rng));
     }
+    for (const auto& query : queries) qptrs.push_back(query.data());
     for (const std::uint32_t ref_class : {0u, 3u, 6u}) {
       std::vector<std::uint32_t> expected_cls(count);
       std::vector<std::uint64_t> expected_ham(count);
       std::vector<std::uint64_t> expected_ref(count);
-      swar().am_sweep(am.data(), classes, stride, qptrs.data(), count,
+      oracle().am_sweep(am.data(), classes, stride, qptrs.data(), count,
                       expected_cls.data(), expected_ham.data(),
                       expected_ref.data(), ref_class);
       // Reference semantics: argmin Hamming, lowest index wins.
       for (std::size_t q = 0; q < count; ++q) {
         std::size_t best = 0;
         std::size_t best_ham =
-            swar().xor_popcount(am.data(), qptrs[q], stride);
+            oracle().xor_popcount(am.data(), qptrs[q], stride);
         for (std::size_t c = 1; c < classes; ++c) {
-          const auto ham = swar().xor_popcount(am.data() + c * stride,
+          const auto ham = oracle().xor_popcount(am.data() + c * stride,
                                                qptrs[q], stride);
           if (ham < best_ham) {
             best = c;
@@ -223,10 +262,12 @@ TEST(SimdKernels, AmSweepMatchesSwarWithAndWithoutRef) {
         }
         ASSERT_EQ(expected_cls[q], best);
         ASSERT_EQ(expected_ham[q], best_ham);
-        ASSERT_EQ(expected_ref[q], swar().xor_popcount(
+        ASSERT_EQ(expected_ref[q], oracle().xor_popcount(
                                        am.data() + ref_class * stride,
                                        qptrs[q], stride));
       }
+      EXPECT_EQ(expected_cls[2], 3u) << "stride=" << stride;
+      EXPECT_EQ(expected_ham[2], 0u) << "stride=" << stride;
       for (const Kernels* k : available_kernels()) {
         std::vector<std::uint32_t> cls(count);
         std::vector<std::uint64_t> ham(count);

@@ -50,10 +50,11 @@ bool in_determinism_scope(const std::string& path) {
   // src/obs/ is in scope MINUS its clock translation unit — that file is
   // the sanctioned wall-clock carve-out (obs::monotonic_ns), so the check
   // mechanically proves every other obs file stays clock-free.
-  // src/device/ is in scope: backend selection and every block operation
-  // must be bit-reproducible across runs.
+  // The kernel selection TU and the scalar oracle are in scope: backend
+  // selection and the reference every kernel is diffed against must be
+  // bit-reproducible across runs.
   return path_in(path, "src/fuzz/") || path_in(path, "src/defense/") ||
-         path_in(path, "src/device/") ||
+         filename_is(path, "kernels") || filename_is(path, "kernels_oracle") ||
          (path_in(path, "src/obs/") && !filename_is(path, "clock"));
 }
 
@@ -61,7 +62,7 @@ bool in_checked_arith_scope(const std::string& path) {
   return filename_is(path, "serialize") || filename_is(path, "mmap_file") ||
          (path_in(path, "src/data/") && filename_is(path, "idx")) ||
          path_in(path, "src/fuzz/fleet/durable/") ||
-         path_in(path, "src/obs/") || path_in(path, "src/device/") ||
+         path_in(path, "src/obs/") || filename_is(path, "kernels_oracle") ||
          (path_in(path, "src/fuzz/shard/") &&
           (filename_is(path, "ledger") || filename_is(path, "seed_bank"))) ||
          (path_in(path, "src/fuzz/fleet/") &&
@@ -88,7 +89,8 @@ void list_checks(std::ostream& os) {
         "    No ambient nondeterminism (unordered-container iteration, rand,\n"
         "    time, random_device, chrono ::now, thread ids) in campaign,\n"
         "    ledger, record, or report code. Scope: src/fuzz/, src/defense/,\n"
-        "    src/device/, src/obs/ (minus the clock.* wall-clock carve-out).\n"
+        "    kernels.* (kernel selection), kernels_oracle.*, src/obs/ (minus\n"
+        "    the clock.* wall-clock carve-out).\n"
         "hdtest-dense-free\n"
         "    Functions reachable from an HDTEST_HOT_PATH annotation must not\n"
         "    materialize dense Hypervectors, call PackedHv::from_dense, or\n"
@@ -97,7 +99,7 @@ void list_checks(std::ostream& os) {
         "    Size arithmetic in wire-format code must go through\n"
         "    checked_mul/checked_add; raw-byte reads through BufReader.\n"
         "    Scope: serialize.*, mmap_file.*, shard ledger/seed_bank,\n"
-        "    fleet wire/protocol, fleet durable/, src/obs/, src/device/.\n"
+        "    fleet wire/protocol, fleet durable/, src/obs/, kernels_oracle.*.\n"
         "hdtest-intrinsics-confined\n"
         "    Vendor SIMD intrinsics and headers only under src/util/simd/.\n"
         "    Scope: everything else.\n";
