@@ -20,6 +20,7 @@ struct FleetCounters {
   obs::Counter* leases_expired;
   obs::Counter* leases_reissued;
   obs::Counter* workers_rejected;
+  obs::Counter* idle_replies;
   obs::Counter* heartbeats;
   obs::Gauge* connections;
 };
@@ -35,6 +36,7 @@ const FleetCounters& fleet_counters() {
                          &reg.counter("fleet_leases_expired_total"),
                          &reg.counter("fleet_leases_reissued_total"),
                          &reg.counter("fleet_workers_rejected_total"),
+                         &reg.counter("fleet_idle_replies_total"),
                          &reg.counter("fleet_heartbeats_total"),
                          &reg.gauge("fleet_connections")};
   }();
@@ -269,6 +271,7 @@ void CoordinatorCore::handle_lease_request(ConnId conn, std::uint64_t now) {
     // Everything is leased or committed but the ledger hasn't decided yet
     // (a gap is still executing elsewhere). The worker backs off and asks
     // again; if the holder died, expiry will free the block by then.
+    fleet_counters().idle_replies->add(1);
     send(conn, make_idle());
     return;
   }

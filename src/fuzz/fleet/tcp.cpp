@@ -1,6 +1,10 @@
 #include "fuzz/fleet/tcp.hpp"
 
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -14,6 +18,11 @@ namespace net = util::net;
 namespace {
 
 constexpr std::size_t kRecvChunk = 4096;
+
+/// Longest the coordinator waits for a socket before it looks at its
+/// clocks again: lease expiry, the metrics cadence, the linger deadline
+/// and the stop flag are all seen within one tick.
+constexpr int kTickMs = 10;
 
 /// Pause between lease polls when the coordinator answered Idle, so a
 /// starved worker doesn't hammer the socket.
@@ -85,9 +94,10 @@ void TcpCoordinator::close_conn(ConnId id) { conns_.erase(id); }
 
 void TcpCoordinator::pump_connection(ConnId id, Conn& conn) {
   std::uint8_t buf[kRecvChunk];
+  // Only readable connections are pumped, so this never waits.
   const long got = net::recv_some(conn.socket, buf, sizeof buf,
-                                  /*timeout_ms=*/10);
-  if (got == -1) return;  // nothing this round
+                                  /*timeout_ms=*/0);
+  if (got == -1) return;  // nothing after all
   if (got <= 0) {
     // Peer closed (0) or hard error (-2): its leases go back in the pool.
     core_.on_disconnect(id);
@@ -156,6 +166,8 @@ CampaignResult TcpCoordinator::run(const std::atomic<bool>* stop) {
   std::uint64_t next_metrics_at = 0;
   const bool metrics_on = obs::enabled() && !options_.metrics_out.empty();
   bool final_checkpoint_done = false;
+  std::vector<ConnId> ids;
+  std::vector<net::PollEntry> entries;
   for (;;) {
     const std::uint64_t now = net::now_ms();
     if (metrics_on && now >= next_metrics_at) {
@@ -173,22 +185,33 @@ CampaignResult TcpCoordinator::run(const std::atomic<bool>* stop) {
     }
     core_.on_tick(now);
 
-    if (auto accepted = net::accept_tcp(listener_, /*timeout_ms=*/10);
-        accepted.valid()) {
-      net_counters().accepts->add(1);
-      const ConnId id = next_conn_++;
-      Conn conn;
-      conn.socket = std::move(accepted);
-      conns_.emplace(id, std::move(conn));
-      core_.on_connect(id);
+    // One wait per pass, over the listener (entry 0) and every connection:
+    // a frame that has arrived is handled at once, whichever socket it is on.
+    ids.clear();
+    entries.clear();
+    entries.push_back(net::PollEntry{&listener_});
+    for (const auto& [id, conn] : conns_) {
+      ids.push_back(id);
+      entries.push_back(net::PollEntry{&conn.socket});
     }
-
-    std::vector<ConnId> ids;
-    ids.reserve(conns_.size());
-    for (const auto& [id, conn] : conns_) ids.push_back(id);
-    for (const ConnId id : ids) {
-      const auto it = conns_.find(id);
-      if (it != conns_.end()) pump_connection(id, it->second);
+    if (net::poll_many(entries, kTickMs) < 0) {
+      throw std::runtime_error(std::string("net: poll: ") +
+                               std::strerror(errno));
+    }
+    if (entries[0].readable) {
+      if (auto accepted = net::accept_tcp(listener_); accepted.valid()) {
+        net_counters().accepts->add(1);
+        const ConnId id = next_conn_++;
+        Conn conn;
+        conn.socket = std::move(accepted);
+        conns_.emplace(id, std::move(conn));
+        core_.on_connect(id);
+      }
+    }
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (!entries[i + 1].readable) continue;
+      const auto it = conns_.find(ids[i]);
+      if (it != conns_.end()) pump_connection(ids[i], it->second);
     }
     if (durable_ != nullptr) {
       if (core_.finished()) {

@@ -8,6 +8,14 @@
 /// drivers own exactly the things the deterministic cores must not:
 /// sockets, wall time, sleeping, and signal-flag polling.
 ///
+/// The coordinator is one thread that waits once per pass, on one poll set
+/// holding the listener and every connection (util::net::poll_many), for
+/// at most a 10 ms tick. It then accepts if the listener is readable and
+/// reads only the readable connections, none of which can block: a frame
+/// that has arrived is handled at once, however many other connections
+/// are quiet. The tick bounds how late lease expiry, the metrics cadence,
+/// the post-decision linger and the stop flag are noticed.
+///
 /// Fault handling at this layer:
 ///   - EINTR-safe I/O throughout (util::net);
 ///   - a malformed frame poisons the connection's FrameReader: the
@@ -36,7 +44,8 @@
 
 namespace hdtest::fuzz::fleet {
 
-/// Serves one campaign over TCP; single-threaded poll loop.
+/// Serves one campaign over TCP from a single thread: one readiness wait
+/// per pass over the listener and all connections (see the file comment).
 class TcpCoordinator {
  public:
   struct Options {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "util/io.hpp"
 
@@ -52,11 +53,12 @@ namespace {
 
 Socket listen_tcp(std::uint16_t, int) { unsupported(); }
 std::uint16_t local_port(const Socket&) { unsupported(); }
-Socket accept_tcp(const Socket&, int) { unsupported(); }
+Socket accept_tcp(const Socket&) { unsupported(); }
 Socket connect_tcp(const std::string&, std::uint16_t) { unsupported(); }
 bool send_all(const Socket&, const void*, std::size_t) noexcept {
   return false;
 }
+int poll_many(std::span<PollEntry>, int) { unsupported(); }
 long recv_some(const Socket&, void*, std::size_t, int) noexcept { return -2; }
 
 #else
@@ -78,39 +80,40 @@ sockaddr_in loopback_addr(const std::string& host, std::uint16_t port) {
   return addr;
 }
 
-/// poll() one fd for \p events, EINTR-safe. Returns poll's result.
+/// poll() over \p count fds, EINTR-safe. Returns poll's result. The one
+/// wait loop of this file: poll_many and recv_some both come through here.
 ///
 /// EINTR resumes with the REMAINING time, not the full timeout: restarting
 /// the whole wait after every signal lets a steady signal stream postpone
 /// the return forever, which is exactly the window where a caller wants to
-/// get back to its stop-flag check (a SIGTERM arriving during the accept
-/// poll must not be absorbed into a fresh full-length wait).
-int poll_one(int fd, short events, int timeout_ms) noexcept {
-  pollfd pfd{};
-  pfd.fd = fd;
-  pfd.events = events;
+/// get back to its stop-flag check (a SIGTERM arriving during the
+/// coordinator's wait must not be absorbed into a fresh full-length wait).
+int poll_fds(pollfd* fds, nfds_t count, int timeout_ms) noexcept {
   if (timeout_ms < 0) {
     for (;;) {
-      const int rc = ::poll(&pfd, 1, timeout_ms);
+      const int rc = ::poll(fds, count, timeout_ms);
       if (rc >= 0 || errno != EINTR) return rc;
     }
   }
-  const std::uint64_t deadline =
-      now_ms() + static_cast<std::uint64_t>(timeout_ms);
+  using Clock = std::chrono::steady_clock;
+  using Ms = std::chrono::milliseconds;
+  const auto deadline = Clock::now() + Ms(timeout_ms);
   int remaining = timeout_ms;
   for (;;) {
-    const int rc = ::poll(&pfd, 1, remaining);
+    const int rc = ::poll(fds, count, remaining);
     if (rc >= 0 || errno != EINTR) return rc;
-    const std::uint64_t now = now_ms();
-    if (now >= deadline) return 0;  // interrupted into the deadline: timeout
-    remaining = static_cast<int>(deadline - now);
+    // Rounded up, so an interrupted wait never times out early.
+    const auto left = std::chrono::ceil<Ms>(deadline - Clock::now());
+    if (left.count() <= 0) return 0;  // interrupted into the deadline
+    remaining = static_cast<int>(left.count());
   }
 }
 
 }  // namespace
 
 Socket listen_tcp(std::uint16_t port, int backlog) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   if (fd < 0) fail("socket");
   Socket socket(fd);
   const int one = 1;
@@ -135,15 +138,13 @@ std::uint16_t local_port(const Socket& socket) {
   return ntohs(addr.sin_port);
 }
 
-Socket accept_tcp(const Socket& listener, int timeout_ms) {
-  const int ready = poll_one(listener.fd(), POLLIN, timeout_ms);
-  if (ready < 0) fail("poll(accept)");
-  if (ready == 0) return Socket();
+Socket accept_tcp(const Socket& listener) {
   for (;;) {
+    // No SOCK_NONBLOCK: the accepted socket blocks, unlike the listener.
     const int fd = ::accept4(listener.fd(), nullptr, nullptr, SOCK_CLOEXEC);
     if (fd >= 0) return Socket(fd);
     if (errno == EINTR) continue;
-    // The peer can vanish between poll and accept; that is not fatal.
+    // Nothing pending, or the peer vanished after the readiness wait.
     if (errno == ECONNABORTED || errno == EAGAIN || errno == EWOULDBLOCK) {
       return Socket();
     }
@@ -187,9 +188,26 @@ bool send_all(const Socket& socket, const void* data,
   return true;
 }
 
+int poll_many(std::span<PollEntry> entries, int timeout_ms) {
+  std::vector<pollfd> fds(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    fds[i].fd = entries[i].socket->fd();
+    fds[i].events = POLLIN;
+  }
+  const int ready = poll_fds(fds.data(), fds.size(), timeout_ms);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    entries[i].readable =
+        ready > 0 && (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+  }
+  return ready;
+}
+
 long recv_some(const Socket& socket, void* buf, std::size_t capacity,
                int timeout_ms) noexcept {
-  const int ready = poll_one(socket.fd(), POLLIN, timeout_ms);
+  pollfd pfd{};
+  pfd.fd = socket.fd();
+  pfd.events = POLLIN;
+  const int ready = poll_fds(&pfd, 1, timeout_ms);
   if (ready < 0) return -2;
   if (ready == 0) return -1;
   for (;;) {

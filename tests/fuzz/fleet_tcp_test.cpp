@@ -1,25 +1,30 @@
 // Loopback-TCP federation: real sockets, real threads, one worker lost
-// mid-campaign. The merged result must still be bit-identical to
-// run_campaign(workers=1). Also pins the fatal-fingerprint path over a
-// real connection.
+// mid-campaign while it holds a lease. The merged result must still be
+// bit-identical to run_campaign(workers=1). Also pins the fatal-fingerprint
+// path over a real connection, and that idle connections cannot slow the
+// coordinator's answers to a working one.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "data/synthetic_digits.hpp"
 #include "fuzz/campaign.hpp"
 #include "fuzz/fleet/protocol.hpp"
 #include "fuzz/fleet/tcp.hpp"
+#include "fuzz/fleet/wire.hpp"
 #include "fuzz/fleet/worker.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/mutation.hpp"
 #include "fuzz/shard/plan.hpp"
 #include "fuzz/shard/seed_bank.hpp"
 #include "hdc/classifier.hpp"
+#include "obs/registry.hpp"
 #include "util/net.hpp"
 
 namespace hdtest::fuzz::fleet {
@@ -70,6 +75,65 @@ class LoopbackCampaign {
   std::optional<shard::ShardPlanner> planner_;
 };
 
+/// Reads frames from \p socket until one of \p kind arrives; nullopt when
+/// the connection closes or stays quiet for 5 s first.
+std::optional<Frame> await_frame(const util::net::Socket& socket,
+                                 FrameReader& reader, MessageKind kind) {
+  for (;;) {
+    Frame frame;
+    while (reader.next(frame) == FrameStatus::kOk) {
+      if (frame.kind == static_cast<std::uint16_t>(kind)) return frame;
+    }
+    std::uint8_t buf[4096];
+    const long got =
+        util::net::recv_some(socket, buf, sizeof buf, /*timeout_ms=*/5000);
+    if (got <= 0) return std::nullopt;
+    reader.feed(std::span<const std::uint8_t>(
+        buf, static_cast<std::size_t>(got)));
+  }
+}
+
+bool send_frame(const util::net::Socket& socket, const Frame& frame) {
+  const auto bytes = encode_frame(frame.kind, frame.body);
+  return util::net::send_all(socket, bytes.data(), bytes.size());
+}
+
+/// The first half of a worker, scripted on a raw socket: Hello, then a
+/// LeaseRequest, then it holds the granted lease without ever committing.
+/// Closing the returned socket is the worker dying with the lease. Returns
+/// an invalid socket when any step fails.
+util::net::Socket take_lease(std::uint16_t port, std::uint64_t fingerprint,
+                             LeaseGrant& grant) {
+  util::net::Socket socket = util::net::connect_tcp("127.0.0.1", port);
+  FrameReader reader;
+  if (!socket.valid()) return socket;
+  if (!send_frame(socket, make_hello(Hello{fingerprint}))) return {};
+  if (!await_frame(socket, reader, MessageKind::kHelloAck)) return {};
+  if (!send_frame(socket, make_lease_request())) return {};
+  const auto granted = await_frame(socket, reader, MessageKind::kLeaseGrant);
+  if (!granted) return {};
+  grant = decode_lease_grant(granted->body);
+  return socket;
+}
+
+/// Forwards to the real executor and raises a flag once a slice is done.
+class FlaggingExecutor final : public SliceExecutor {
+ public:
+  FlaggingExecutor(SliceExecutor& inner, std::atomic<bool>& executed) noexcept
+      : inner_(&inner), executed_(&executed) {}
+
+  std::vector<CampaignRecord> execute(
+      const shard::StreamSlice& slice) override {
+    std::vector<CampaignRecord> records = inner_->execute(slice);
+    executed_->store(true);
+    return records;
+  }
+
+ private:
+  SliceExecutor* inner_;
+  std::atomic<bool>* executed_;
+};
+
 TEST(FleetTcp, LoopbackFleetSurvivesWorkerLossAndMatchesSolo) {
   LoopbackCampaign campaign;
   CampaignConfig solo = campaign.config();
@@ -77,7 +141,9 @@ TEST(FleetTcp, LoopbackFleetSurvivesWorkerLossAndMatchesSolo) {
   const auto expected = run_campaign(campaign.fuzzer(), campaign.test(), solo);
 
   TcpCoordinator::Options coordinator_options;
-  coordinator_options.lease_timeout_ms = 300;
+  // Far longer than the test: the lost lease must come back because its
+  // holder's connection dropped, not because a timer ran out.
+  coordinator_options.lease_timeout_ms = 60'000;
   coordinator_options.linger_ms = 500;
   TcpCoordinator coordinator(campaign.planner(),
                              campaign.config().target_adversarials,
@@ -89,35 +155,37 @@ TEST(FleetTcp, LoopbackFleetSurvivesWorkerLossAndMatchesSolo) {
   std::optional<CampaignResult> merged;
   std::thread serve([&] { merged = coordinator.run(&coordinator_stop); });
 
-  // Worker A runs to clean shutdown. Worker B is stopped almost
-  // immediately — whatever lease it holds must expire and be re-issued.
-  std::atomic<bool> lost_stop{false};
+  // The doomed worker asks first, so it holds the first block. The ledger
+  // merges in stream order, so no decision can be reached without that
+  // block: the campaign needs the slice the worker is about to lose.
+  LeaseGrant lost{};
+  util::net::Socket doomed = take_lease(port, campaign.fingerprint(), lost);
+  EXPECT_TRUE(doomed.valid());
+  EXPECT_EQ(lost.first_stream, 0u);
+
+  // Worker A runs to clean shutdown. Once it has executed a slice of its
+  // own, the doomed worker dies holding its lease mid-campaign.
+  std::atomic<bool> executed{false};
   bool clean_a = false;
   std::thread worker_a([&] {
     shard::SeedBank bank(campaign.fuzzer(), campaign.test());
-    FuzzSliceExecutor executor(campaign.planner(), campaign.fuzzer(),
-                               campaign.test(), &bank);
+    FuzzSliceExecutor fuzz(campaign.planner(), campaign.fuzzer(),
+                           campaign.test(), &bank);
+    FlaggingExecutor executor(fuzz, executed);
     TcpWorker::Options options;
     options.port = port;
     options.response_timeout_ms = 200;
     TcpWorker worker(campaign.fingerprint(), executor, options);
     clean_a = worker.run();
   });
-  std::thread worker_b([&] {
-    shard::SeedBank bank(campaign.fuzzer(), campaign.test());
-    FuzzSliceExecutor executor(campaign.planner(), campaign.fuzzer(),
-                               campaign.test(), &bank);
-    TcpWorker::Options options;
-    options.port = port;
-    options.response_timeout_ms = 200;
-    TcpWorker worker(campaign.fingerprint(), executor, options);
-    (void)worker.run(&lost_stop);
-  });
-  util::net::sleep_ms(50);
-  lost_stop.store(true);  // worker B vanishes mid-campaign
+  const std::uint64_t give_up_at = util::net::now_ms() + 30'000;
+  while (!executed.load() && util::net::now_ms() < give_up_at) {
+    util::net::sleep_ms(1);
+  }
+  EXPECT_TRUE(executed.load());
+  doomed.close();
 
   worker_a.join();
-  worker_b.join();
   EXPECT_TRUE(clean_a);
   // Backstop: if the fleet somehow wedged, drain instead of hanging the
   // suite. On the healthy path the campaign already finished and this flag
@@ -129,6 +197,76 @@ TEST(FleetTcp, LoopbackFleetSurvivesWorkerLossAndMatchesSolo) {
   EXPECT_FALSE(merged->gave_up);
   EXPECT_TRUE(identical_records(*merged, expected));
   EXPECT_GT(coordinator.stats().commits_accepted, 0u);
+  EXPECT_GE(coordinator.stats().leases_reissued, 1u);
+}
+
+/// Serves the loopback campaign to one TcpWorker while \p idle_conns raw
+/// connections sit open without sending a byte. Returns the worker's
+/// run() wall time in ms; the merged result lands in \p merged.
+double timed_run_beside_idle_connections(const LoopbackCampaign& campaign,
+                                         std::size_t idle_conns,
+                                         CampaignResult& merged) {
+  TcpCoordinator::Options coordinator_options;
+  coordinator_options.lease_timeout_ms = 60'000;
+  coordinator_options.linger_ms = 200;
+  TcpCoordinator coordinator(campaign.planner(),
+                             campaign.config().target_adversarials,
+                             coordinator_options);
+  std::atomic<bool> coordinator_stop{false};
+  std::thread serve([&] { merged = coordinator.run(&coordinator_stop); });
+
+  // Every idle connection is accepted before the clock starts, so both
+  // runs time the same protocol exchange.
+  obs::Counter& accepts =
+      obs::Registry::global().counter("fleet_net_accepts_total");
+  const std::uint64_t accepted_before = accepts.value();
+  std::vector<util::net::Socket> idle;
+  for (std::size_t i = 0; i < idle_conns; ++i) {
+    idle.push_back(util::net::connect_tcp("127.0.0.1", coordinator.port()));
+  }
+  const std::uint64_t give_up_at = util::net::now_ms() + 30'000;
+  while (accepts.value() < accepted_before + idle_conns &&
+         util::net::now_ms() < give_up_at) {
+    util::net::sleep_ms(1);
+  }
+
+  double run_ms = 0.0;
+  bool clean = false;
+  std::thread worker([&] {
+    shard::SeedBank bank(campaign.fuzzer(), campaign.test());
+    FuzzSliceExecutor executor(campaign.planner(), campaign.fuzzer(),
+                               campaign.test(), &bank);
+    TcpWorker::Options options;
+    options.port = coordinator.port();
+    TcpWorker tcp_worker(campaign.fingerprint(), executor, options);
+    const auto start = std::chrono::steady_clock::now();
+    clean = tcp_worker.run();
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    run_ms = std::chrono::duration<double, std::milli>(elapsed).count();
+  });
+  worker.join();
+  idle.clear();
+  coordinator_stop.store(true);
+  serve.join();
+  EXPECT_TRUE(clean);
+  EXPECT_FALSE(merged.gave_up);
+  return run_ms;
+}
+
+TEST(FleetTcp, IdleConnectionsDoNotDelayCommits) {
+  LoopbackCampaign campaign;
+  CampaignResult clean_merged;
+  CampaignResult idle_merged;
+  const double clean_ms =
+      timed_run_beside_idle_connections(campaign, 0, clean_merged);
+  const double idle_ms =
+      timed_run_beside_idle_connections(campaign, 16, idle_merged);
+  // A coordinator that waited on each connection in turn would add the
+  // per-connection wait to every request: 16 connections x 10 ms per
+  // round trip. One wait over all of them adds nothing measurable.
+  EXPECT_LT(idle_ms, 2.0 * clean_ms + 50.0)
+      << "clean " << clean_ms << " ms, idle " << idle_ms << " ms";
+  EXPECT_TRUE(identical_records(idle_merged, clean_merged));
 }
 
 TEST(FleetTcp, WrongFingerprintWorkerIsTurnedAway) {

@@ -4,14 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <signal.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/backoff.hpp"
@@ -113,12 +118,18 @@ TEST(Net, LoopbackRoundTrip) {
   const std::uint16_t port = net::local_port(listener);
   ASSERT_NE(port, 0);
 
-  // Nothing pending yet: accept times out with an invalid socket.
-  EXPECT_FALSE(net::accept_tcp(listener, /*timeout_ms=*/10).valid());
+  // Nothing pending yet: the listener is not readable, and accept returns
+  // an invalid socket at once instead of blocking.
+  net::PollEntry pending{&listener};
+  EXPECT_EQ(net::poll_many({&pending, 1}, /*timeout_ms=*/10), 0);
+  EXPECT_FALSE(pending.readable);
+  EXPECT_FALSE(net::accept_tcp(listener).valid());
 
   net::Socket client = net::connect_tcp("127.0.0.1", port);
   ASSERT_TRUE(client.valid());
-  net::Socket server = net::accept_tcp(listener, /*timeout_ms=*/1000);
+  ASSERT_EQ(net::poll_many({&pending, 1}, /*timeout_ms=*/1000), 1);
+  EXPECT_TRUE(pending.readable);
+  net::Socket server = net::accept_tcp(listener);
   ASSERT_TRUE(server.valid());
 
   const char message[] = "hdtest fleet";
@@ -140,6 +151,122 @@ TEST(Net, LoopbackRoundTrip) {
   // Closed peer: clean 0.
   client.close();
   EXPECT_EQ(net::recv_some(server, buf, sizeof buf, /*timeout_ms=*/1000), 0);
+}
+
+/// A connected loopback pair: `client` dialed, `server` accepted.
+struct Pair {
+  net::Socket client;
+  net::Socket server;
+};
+
+Pair connect_pair(const net::Socket& listener) {
+  Pair pair;
+  pair.client = net::connect_tcp("127.0.0.1", net::local_port(listener));
+  net::PollEntry entry{&listener};
+  if (net::poll_many({&entry, 1}, /*timeout_ms=*/1000) == 1) {
+    pair.server = net::accept_tcp(listener);
+  }
+  return pair;
+}
+
+double ms_since(std::chrono::steady_clock::time_point start) {
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  return std::chrono::duration<double, std::milli>(elapsed).count();
+}
+
+TEST(Net, PollManyReportsOnlyReadableSockets) {
+  const net::Socket listener = net::listen_tcp(0);
+  Pair a = connect_pair(listener);
+  Pair b = connect_pair(listener);
+  Pair c = connect_pair(listener);
+  ASSERT_TRUE(a.server.valid() && b.server.valid() && c.server.valid());
+
+  const char byte = 'x';
+  ASSERT_TRUE(net::send_all(b.client, &byte, 1));
+  std::vector<net::PollEntry> entries{
+      {&listener}, {&a.server}, {&b.server}, {&c.server}};
+  ASSERT_EQ(net::poll_many(entries, /*timeout_ms=*/1000), 1);
+  EXPECT_FALSE(entries[0].readable);  // nobody else is dialing
+  EXPECT_FALSE(entries[1].readable);
+  EXPECT_TRUE(entries[2].readable);
+  EXPECT_FALSE(entries[3].readable);
+
+  // A readable entry reads without waiting; the wait then goes quiet again.
+  char buf[8];
+  EXPECT_EQ(net::recv_some(b.server, buf, sizeof buf, /*timeout_ms=*/0), 1);
+  EXPECT_EQ(net::poll_many(entries, /*timeout_ms=*/0), 0);
+  for (const net::PollEntry& entry : entries) EXPECT_FALSE(entry.readable);
+}
+
+TEST(Net, PollManyTimeoutReturnsZeroNoEarlierThanTimeout) {
+  const net::Socket listener = net::listen_tcp(0);
+  Pair a = connect_pair(listener);
+  ASSERT_TRUE(a.server.valid());
+  std::vector<net::PollEntry> entries{{&listener}, {&a.server}};
+  for (const int timeout_ms : {1, 20, 50}) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(net::poll_many(entries, timeout_ms), 0);
+    EXPECT_GE(ms_since(start), timeout_ms);
+    for (const net::PollEntry& entry : entries) EXPECT_FALSE(entry.readable);
+  }
+}
+
+TEST(Net, PollManyReportsPeerCloseAsReadable) {
+  const net::Socket listener = net::listen_tcp(0);
+  Pair a = connect_pair(listener);
+  Pair b = connect_pair(listener);
+  ASSERT_TRUE(a.server.valid() && b.server.valid());
+  a.client.close();
+  std::vector<net::PollEntry> entries{{&a.server}, {&b.server}};
+  ASSERT_EQ(net::poll_many(entries, /*timeout_ms=*/1000), 1);
+  EXPECT_TRUE(entries[0].readable);
+  EXPECT_FALSE(entries[1].readable);
+  char buf[8];
+  EXPECT_EQ(net::recv_some(a.server, buf, sizeof buf, /*timeout_ms=*/0), 0);
+}
+
+std::atomic<int> g_signals_seen{0};
+
+void count_signal(int) { g_signals_seen.fetch_add(1); }
+
+TEST(Net, PollManySignalStreamCannotExtendTheWaitOrFailIt) {
+  // No SA_RESTART: every signal interrupts the poll with EINTR, which is
+  // exactly the case the remaining-time rule exists for.
+  struct sigaction action = {};
+  action.sa_handler = count_signal;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, nullptr), 0);
+  // The handler stays installed: a signal still in flight when the test
+  // ends must not hit SIGUSR1's default action and kill the binary.
+
+  const net::Socket listener = net::listen_tcp(0);
+  Pair a = connect_pair(listener);
+  ASSERT_TRUE(a.server.valid());
+  std::vector<net::PollEntry> entries{{&listener}, {&a.server}};
+
+  const pthread_t waiter = ::pthread_self();
+  std::atomic<bool> done{false};
+  const int before = g_signals_seen.load();
+  std::thread storm([&] {
+    while (!done.load()) {
+      (void)::pthread_kill(waiter, SIGUSR1);
+      net::sleep_ms(1);
+    }
+  });
+  constexpr int kTimeoutMs = 200;
+  const auto start = std::chrono::steady_clock::now();
+  const int ready = net::poll_many(entries, kTimeoutMs);
+  const double waited = ms_since(start);
+  done.store(true);
+  storm.join();
+
+  EXPECT_EQ(ready, 0);  // a timeout, not an EINTR error
+  EXPECT_GE(waited, kTimeoutMs);
+  // Restarting the full wait after each of ~200 signals would never end;
+  // the bound only has to be far below that and above scheduler noise.
+  EXPECT_LT(waited, kTimeoutMs + 1000);
+  EXPECT_GT(g_signals_seen.load() - before, 0);
 }
 
 TEST(Net, ConnectToClosedPortFailsWithoutThrowing) {
