@@ -87,11 +87,12 @@ struct FuzzOutcome {
 
 /// Precomputed full-encode state of one seed input (Fuzzer::prepare_seed).
 ///
-/// Holds everything fuzz_one needs that costs a full O(W*H*D) encode: the
-/// input's bundling accumulator (the delta re-encoder's base), its packed
+/// Holds the input's full-encode results: its encode_into lanes, its packed
 /// query HV, and the reference label. The sharded campaign runtime caches
 /// one per input (shard::SeedBank) and shares it across workers and
-/// wrap-arounds, so steady-state fuzz_one performs no full encode at all.
+/// wrap-arounds. The delta re-encoder only validates the lanes: it builds
+/// the input's slice bank from the image, once per fuzz_one, on the first
+/// sparse mutant.
 /// Contract: fuzz_one(input, rng) and fuzz_one(input, rng, seed) return
 /// bit-identical outcomes (modulo wall-clock) — the context is purely a
 /// cache, which is what lets shards fall back to inline encoding when a

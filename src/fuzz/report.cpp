@@ -34,8 +34,9 @@ std::string render_strategy_table(
              [](const CampaignResult& c) { return c.avg_l2(); }, 2);
   add_metric("Avg. #Iter.",
              [](const CampaignResult& c) { return c.avg_iterations(); }, 2);
+  // Three decimals: at one, sub-second strategies tie and cannot be ranked.
   add_metric("Time Per-1K Gen. Img. (s)",
-             [](const CampaignResult& c) { return c.time_per_1k_seconds(); }, 1);
+             [](const CampaignResult& c) { return c.time_per_1k_seconds(); }, 3);
   add_metric("Success rate",
              [](const CampaignResult& c) { return c.success_rate(); }, 3);
   add_metric("Adv. per minute",

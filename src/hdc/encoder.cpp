@@ -1,6 +1,7 @@
 #include "hdc/encoder.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <stdexcept>
@@ -25,6 +26,77 @@ constexpr std::uint64_t kTieBreakTag = 0x03;
 bool value_rows_remat(const ModelConfig& config) noexcept {
   return config.codebook == CodebookMode::kRemat &&
          config.value_strategy == ValueStrategy::kRandom;
+}
+
+/// Geometry of the biased bank of a P-pixel image. A lane (the bundle sum,
+/// in [-P, P]) is stored as lane + B with B = bit_ceil(2P), so every stored
+/// value is non-negative and S = bit_width(B) slices hold values up to
+/// 2B - 1. The B - P - 1 values of headroom above B + P are the delta
+/// encoder's lineage budget (IncrementalPixelEncoder::rebuild_base_slices).
+struct BankShape {
+  std::uint64_t bias;  ///< B
+  std::size_t levels;  ///< S
+};
+
+BankShape bank_shape(std::size_t pixels) noexcept {
+  const std::uint64_t bias =
+      std::bit_ceil(2 * static_cast<std::uint64_t>(pixels));
+  return {bias, static_cast<std::size_t>(std::bit_width(bias))};
+}
+
+/// Pixels bundled per bundle_bound call (the kernel's addend limit).
+constexpr std::size_t kBundleGroup = 16;
+
+/// The full encode's one bundle routine: writes the biased bank of \p pixels
+/// (bound through \p positions and \p values) into \p slices, level-major,
+/// and returns its shape. Every lane starts at B - P; each pixel adds 2
+/// where its bound bit is clear (element +1). With c0 clear and c1 set bits
+/// a lane ends at B - P + 2*c0 = B + (c0 - c1), its bundle sum plus B. The
+/// padding lanes past dim count every pixel (the bound tail bits are clear)
+/// and end at B + P, inside the headroom like every other lane. Remat rows
+/// are regenerated group by group into one scratch block.
+/// \pre the shapes agree (checked by the callers).
+HDTEST_HOT_PATH BankShape build_bank(const PackedItemMemory& positions,
+                                     const PackedItemMemory& values,
+                                     std::size_t value_levels,
+                                     std::span<const std::uint8_t> pixels,
+                                     std::vector<std::uint64_t>& slices) {
+  const std::size_t words = positions.words_per_entry();
+  const BankShape shape = bank_shape(pixels.size());
+  const std::uint64_t fill = shape.bias - pixels.size();
+  slices.resize(shape.levels * words);
+  for (std::size_t j = 0; j < shape.levels; ++j) {
+    std::fill_n(slices.begin() + static_cast<std::ptrdiff_t>(j * words), words,
+                ((fill >> j) & 1u) != 0 ? ~0ULL : 0ULL);
+  }
+  // Scratch is only non-empty for rematerializing codebooks; stored and view
+  // codebooks serve rows in place.
+  const std::size_t pos_words = positions.row_scratch_words();
+  const std::size_t val_words = values.row_scratch_words();
+  std::vector<std::uint64_t> scratch(kBundleGroup * (pos_words + val_words));
+  const std::span<std::uint64_t> pos_scratch =
+      std::span(scratch).first(kBundleGroup * pos_words);
+  const std::span<std::uint64_t> val_scratch =
+      std::span(scratch).subspan(kBundleGroup * pos_words);
+  std::array<const std::uint64_t*, kBundleGroup> pos_rows{};
+  std::array<const std::uint64_t*, kBundleGroup> val_rows{};
+  const util::simd::Kernels& kernels = util::simd::kernels();
+  for (std::size_t p = 0; p < pixels.size(); p += kBundleGroup) {
+    const std::size_t count = std::min(kBundleGroup, pixels.size() - p);
+    for (std::size_t i = 0; i < count; ++i) {
+      pos_rows[i] =
+          positions.row(p + i, pos_scratch.subspan(i * pos_words, pos_words))
+              .data();
+      val_rows[i] =
+          values
+              .row(value_level_index(value_levels, pixels[p + i]),
+                   val_scratch.subspan(i * val_words, val_words))
+              .data();
+    }
+    kernels.bundle_bound(slices.data(), words, shape.levels, pos_rows.data(),
+                         val_rows.data(), count);
+  }
+  return shape;
 }
 
 }  // namespace
@@ -124,19 +196,19 @@ HDTEST_HOT_PATH PackedHv encode_pixels_packed(const PackedItemMemory& positions,
     throw std::invalid_argument(
         "encode_pixels_packed: pixel count does not match position codebook");
   }
-  util::BitSliceAccumulator bits(dim);
-  // Row scratch is only non-empty for rematerializing codebooks; stored and
-  // view codebooks serve rows in place and never touch it.
-  std::vector<std::uint64_t> pos_scratch(positions.row_scratch_words());
-  std::vector<std::uint64_t> val_scratch(values.row_scratch_words());
-  for (std::size_t p = 0; p < pixels.size(); ++p) {
-    bits.add_xor(positions.row(p, pos_scratch),
-                 values.row(value_level_index(value_levels, pixels[p]),
-                            val_scratch));
-  }
-  Accumulator acc(dim);
-  acc.add_bitsliced(bits);
-  return acc.bipolarize_packed(tie_break);
+  // Eq. 1 on the biased bank: lane < 0 <=> stored < B, lane == 0 <=>
+  // stored == B (the tie-break bit decides).
+  std::vector<std::uint64_t> slices;
+  const BankShape shape = build_bank(positions, values, value_levels, pixels,
+                                     slices);
+  const std::size_t words = positions.words_per_entry();
+  std::vector<std::uint64_t> out(words, 0);
+  util::simd::kernels().slice_bipolarize(
+      slices.data(), words, shape.levels,
+      static_cast<std::uint32_t>(shape.bias), tie_break.words().data(),
+      out.data());
+  out.back() &= util::tail_mask(dim);
+  return PackedHv::from_words(dim, std::move(out));
 }
 
 Hypervector PixelEncoder::pixel_hv(std::size_t position,
@@ -170,20 +242,13 @@ void PixelEncoder::encode_into(const data::Image& image,
   if (acc.dim() != config_.dim) {
     throw std::invalid_argument("PixelEncoder::encode_into: accumulator dim mismatch");
   }
-  // Bit-sliced bundling: each pixel HV is one XOR of packed codebook rows,
-  // counted carry-save and drained into the int32 lanes once. Exact integer
-  // arithmetic — same sums as per-element add_bound in any order. Rows come
-  // through row(): in place for stored mirrors, regenerated into the local
-  // scratch for rematerializing codebooks, identical bits either way.
-  util::BitSliceAccumulator bits(config_.dim);
-  const auto pixels = image.pixels();
-  std::vector<std::uint64_t> pos_scratch(packed_positions_.row_scratch_words());
-  std::vector<std::uint64_t> val_scratch(packed_values_.row_scratch_words());
-  for (std::size_t p = 0; p < pixels.size(); ++p) {
-    bits.add_xor(packed_positions_.row(p, pos_scratch),
-                 packed_values_.row(value_index(pixels[p]), val_scratch));
-  }
-  acc.add_bitsliced(bits);
+  // The full encode's bank, drained into the int32 lanes once. Exact
+  // integer arithmetic: the same sums as per-element add_bound in any order.
+  std::vector<std::uint64_t> slices;
+  const BankShape shape = build_bank(packed_positions_, packed_values_,
+                                     config_.value_levels, image.pixels(),
+                                     slices);
+  acc.add_biased_slices(slices, shape.levels, shape.bias);
 }
 
 Hypervector PixelEncoder::encode(const data::Image& image) const {
@@ -219,7 +284,6 @@ std::vector<PackedHv> PixelEncoder::encode_batch_packed(
 
 IncrementalPixelEncoder::IncrementalPixelEncoder(const PixelEncoder& encoder)
     : encoder_(&encoder),
-      base_acc_(encoder.dim()),
       pos_row_scratch_(encoder.packed_position_memory().row_scratch_words()),
       old_row_scratch_(encoder.packed_value_memory().row_scratch_words()),
       new_row_scratch_(encoder.packed_value_memory().row_scratch_words()) {}
@@ -236,32 +300,26 @@ std::uint64_t next_lineage() noexcept {
 }  // namespace
 
 void IncrementalPixelEncoder::rebase(const data::Image& image) {
-  base_acc_.clear();
-  encoder_->encode_into(image, base_acc_);
-  base_ = image;
-  lineage_ = next_lineage();
-  root_.engaged_ = false;
-}
-
-void IncrementalPixelEncoder::rebase(const data::Image& image, Accumulator acc) {
   if (image.width() != encoder_->width() || image.height() != encoder_->height()) {
     throw std::invalid_argument("IncrementalPixelEncoder::rebase: image shape mismatch");
   }
-  if (acc.dim() != encoder_->dim()) {
-    throw std::invalid_argument("IncrementalPixelEncoder::rebase: accumulator dim mismatch");
-  }
-  base_acc_ = std::move(acc);
   base_ = image;
   lineage_ = next_lineage();
   root_.engaged_ = false;
 }
 
+void IncrementalPixelEncoder::rebase(const data::Image& image,
+                                     const Accumulator& acc) {
+  if (acc.dim() != encoder_->dim()) {
+    throw std::invalid_argument("IncrementalPixelEncoder::rebase: accumulator dim mismatch");
+  }
+  rebase(image);
+}
+
 void IncrementalPixelEncoder::rebuild_base_slices() const {
-  // Biased bit-sliced mirror of the base lanes for the packed delta path.
-  //
-  // Lane values live in [-P, P] (P = pixel count). With bias B =
-  // bit_ceil(2P) every stored value is non-negative, and S = log2(B) + 1
-  // slices hold values up to 2B - 1.
+  // The root bank is the base image's full-encode bank: lane + B in
+  // S = bit_width(B) slices, B = bit_ceil(2P) (P = pixel count; see
+  // build_bank).
   //
   // Lineage rule. Each patch pair adds 2*old_bit + 2*(~new_bit) to a lane's
   // stored value: the true lane change plus 2. A bank that is pairs patch
@@ -271,25 +329,13 @@ void IncrementalPixelEncoder::rebuild_base_slices() const {
   //   P + B + 2*pairs <= 2B - 1, i.e. pairs <= (B - P - 1) / 2
   // (631 at P = 784). encode_child_packed falls back to this root bank past
   // that headroom; a root patch is sparse (pairs <= P/8) and always fits.
-  const std::size_t n = encoder_->dim();
-  const std::size_t words = util::words_for_bits(n);
   const std::size_t pixels = base_.pixels().size();
-  const std::uint64_t bias = std::bit_ceil(2 * static_cast<std::uint64_t>(pixels));
-  bias_ = static_cast<std::int32_t>(bias);
-  slice_count_ = static_cast<std::size_t>(std::bit_width(bias));
-  max_lineage_pairs_ = static_cast<std::size_t>((bias - pixels - 1) / 2);
-  root_.slices_.assign(slice_count_ * words, 0);
-  const auto lanes = base_acc_.lanes();
-  for (std::size_t w = 0, base_idx = 0; base_idx < n; ++w, base_idx += 64) {
-    const std::size_t chunk = std::min<std::size_t>(64, n - base_idx);
-    for (std::size_t b = 0; b < chunk; ++b) {
-      const auto s = static_cast<std::uint32_t>(lanes[base_idx + b] + bias_);
-      for (std::size_t j = 0; j < slice_count_; ++j) {
-        root_.slices_[j * words + w] |=
-            static_cast<std::uint64_t>((s >> j) & 1u) << b;
-      }
-    }
-  }
+  const BankShape shape = build_bank(
+      encoder_->packed_position_memory(), encoder_->packed_value_memory(),
+      encoder_->config().value_levels, base_.pixels(), root_.slices_);
+  bias_ = static_cast<std::int32_t>(shape.bias);
+  slice_count_ = shape.levels;
+  max_lineage_pairs_ = static_cast<std::size_t>((shape.bias - pixels - 1) / 2);
   root_.pairs_ = 0;
   root_.lineage_ = lineage_;
   root_.engaged_ = true;

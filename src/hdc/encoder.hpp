@@ -10,10 +10,14 @@
 /// PixelEncoder implements exactly that, running step 2+3 through a
 /// bit-sliced kernel: the position/value codebooks are mirrored into packed
 /// sign-bit words at construction (PackedItemMemory), each pixel HV is one
-/// XOR of packed words, and bundling is carry-save counting
-/// (util::BitSliceAccumulator) instead of D int8 multiply-adds — the
-/// dense-binary rematerialization trick (Schmuck et al., JETC'19) applied to
-/// the encoding side. Results are bit-exact with per-element accumulation.
+/// XOR of packed words, and bundling is carry-save counting instead of D
+/// int8 multiply-adds — the dense-binary trick (Schmuck et al., JETC'19)
+/// applied to the encoding side. A Harley–Seal tree (the bundle_bound
+/// kernel) reduces 16 bound pixel vectors at a time in registers and adds
+/// them into one representation of the bundle, the biased bit-sliced lane
+/// bank (lane + B per lane). The packed encode signs that bank directly,
+/// the delta encoder patches it, and encode_into drains it into int32
+/// lanes. Results are bit-exact with per-element accumulation.
 ///
 /// IncrementalPixelEncoder exploits bundling's linearity to re-encode a
 /// mutated image in time proportional to the number of changed pixels — a
@@ -62,8 +66,9 @@ namespace hdtest::hdc {
 [[nodiscard]] std::uint64_t tie_break_seed(const ModelConfig& config) noexcept;
 
 /// The full bit-sliced image encode over explicit packed codebooks: bundle
-/// position^value for every pixel (carry-save counting) and apply the fused
-/// Eq. 1 + pack. This is the kernel behind PixelEncoder::encode_packed, and
+/// position^value for every pixel into the biased bank (Harley–Seal
+/// carry-save counting) and sign it (Eq. 1 on the bank). This is the kernel
+/// behind PixelEncoder::encode_packed, and
 /// hdc::MappedModel calls it directly with codebook *views* over a mapped
 /// model file (or rematerializing codebooks when the file carries no
 /// mirrors) — the whole encode touches no dense Hypervector and no
@@ -96,8 +101,8 @@ class PixelEncoder {
   /// \throws std::invalid_argument when the image shape mismatches.
   [[nodiscard]] Hypervector encode(const data::Image& image) const;
 
-  /// Full encode returning a packed query HV directly — the bit-sliced
-  /// accumulation plus the fused Eq. 1 packing, no dense intermediate.
+  /// Full encode returning a packed query HV directly — the biased bank
+  /// signed in place, no int32 lanes and no dense intermediate.
   /// Bit-exact: encode_packed(img) == PackedHv::from_dense(encode(img)).
   HDTEST_HOT_PATH [[nodiscard]] PackedHv encode_packed(
       const data::Image& image) const;
@@ -205,15 +210,17 @@ class IncrementalPixelEncoder {
   /// \param encoder must outlive this object.
   explicit IncrementalPixelEncoder(const PixelEncoder& encoder);
 
-  /// Sets the base image (full encode, cost O(W*H*D)).
+  /// Sets the base image. O(1): the base's bank is built on the first
+  /// sparse encode that needs it (a full encode, O(W*H*D)).
+  /// \throws std::invalid_argument on shape mismatch.
   void rebase(const data::Image& image);
 
-  /// Sets the base image reusing an accumulator that already holds its full
-  /// encode (e.g. from Fuzzer seed warm-up), skipping the O(W*H*D) encode.
-  /// \pre acc equals the encode_into() result for \p image — unchecked; a
-  /// mismatched accumulator silently corrupts every subsequent delta.
+  /// rebase(image) for callers that still carry the base's encode_into()
+  /// lanes (fuzz::SeedContext::base_acc). The lanes are only validated, not
+  /// read: the bank is built from the image. The overload goes together with
+  /// the perfbench replay that calls it (ROADMAP.md item 1).
   /// \throws std::invalid_argument on shape or dimension mismatch.
-  void rebase(const data::Image& image, Accumulator acc);
+  void rebase(const data::Image& image, const Accumulator& acc);
 
   [[nodiscard]] const PixelEncoder& encoder() const noexcept {
     return *encoder_;
@@ -275,8 +282,8 @@ class IncrementalPixelEncoder {
     return patches_.size() * 8 <= base_.size();
   }
 
-  /// Rebuilds root_, the biased bit-sliced mirror of base_acc_, and the
-  /// bias, slice count and lineage headroom that go with it.
+  /// Builds root_, the base image's biased bank, and the bias, slice count
+  /// and lineage headroom that go with it.
   void rebuild_base_slices() const;
 
   /// Copies \p from into \p to, applies patches_ to it, records \p pairs
@@ -287,7 +294,6 @@ class IncrementalPixelEncoder {
 
   const PixelEncoder* encoder_;
   data::Image base_;
-  Accumulator base_acc_;
   /// Identifies the current base (process-unique, fresh per rebase()).
   std::uint64_t lineage_ = 0;
   /// The base's bank (pairs 0). Built lazily on the first sparse encode

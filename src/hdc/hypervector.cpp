@@ -1,6 +1,7 @@
 #include "hdc/hypervector.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -16,6 +17,17 @@ void check_same_dim(std::size_t a, std::size_t b, const char* who) {
     throw std::invalid_argument(std::string(who) + ": dimension mismatch");
   }
 }
+
+/// Byte x spread over eight bytes: byte b of kSpreadBits[x] is bit b of x.
+constexpr std::array<std::uint64_t, 256> kSpreadBits = [] {
+  std::array<std::uint64_t, 256> table{};
+  for (std::size_t x = 0; x < table.size(); ++x) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      table[x] |= static_cast<std::uint64_t>((x >> b) & 1u) << (8 * b);
+    }
+  }
+  return table;
+}();
 
 }  // namespace
 
@@ -165,9 +177,36 @@ void Accumulator::add_packed(std::span<const std::uint64_t> v, int weight) {
   }
 }
 
-void Accumulator::add_bitsliced(const util::BitSliceAccumulator& bits) {
-  check_same_dim(dim(), bits.bits(), "Accumulator::add_bitsliced");
-  bits.drain_into(lanes_);
+void Accumulator::add_biased_slices(std::span<const std::uint64_t> slices,
+                                    std::size_t levels, std::uint64_t bias) {
+  const std::size_t n = lanes_.size();
+  const std::size_t words = util::words_for_bits(n);
+  if (levels > 31 || slices.size() != levels * words) {
+    throw std::invalid_argument("Accumulator::add_biased_slices: bank shape mismatch");
+  }
+  const auto offset = static_cast<std::int32_t>(bias);
+  for (auto& lane : lanes_) lane -= offset;
+  // Transpose eight lanes by eight levels at a time: byte k of level j's
+  // word, spread to one 0/1 byte per lane and shifted to bit j, builds
+  // eight levels of eight lanes' stored values in one word.
+  for (std::size_t w = 0, base = 0; base < n; ++w, base += 64) {
+    const std::size_t chunk = std::min<std::size_t>(64, n - base);
+    for (std::size_t group = 0; group < levels; group += 8) {
+      const std::size_t group_end = std::min<std::size_t>(levels, group + 8);
+      for (std::size_t lane0 = 0; lane0 < chunk; lane0 += 8) {
+        std::uint64_t bytes = 0;
+        for (std::size_t j = group; j < group_end; ++j) {
+          bytes |= kSpreadBits[(slices[j * words + w] >> lane0) & 0xffu]
+                   << (j - group);
+        }
+        const std::size_t here = std::min<std::size_t>(8, chunk - lane0);
+        for (std::size_t b = 0; b < here; ++b) {
+          lanes_[base + lane0 + b] +=
+              static_cast<std::int32_t>(((bytes >> (8 * b)) & 0xffu) << group);
+        }
+      }
+    }
+  }
 }
 
 void Accumulator::clear() noexcept {

@@ -128,9 +128,15 @@ class Accumulator {
   /// \pre v holds util::words_for_bits(dim()) words.
   void add_packed(std::span<const std::uint64_t> v, int weight = 1);
 
-  /// Drains a bit-sliced pixel bundle into the lanes (exact integer sums;
-  /// see util::BitSliceAccumulator). \pre bits.bits() == dim().
-  void add_bitsliced(const util::BitSliceAccumulator& bits);
+  /// Drains a biased bit-sliced lane bank into the lanes:
+  ///   lanes[i] += stored_i - bias,
+  /// where stored_i is bit i of the \p levels level-major slices (each
+  /// util::words_for_bits(dim()) words) read as an unsigned count — the
+  /// full encode's bank (PixelEncoder::encode_into).
+  /// \throws std::invalid_argument when slices.size() is not
+  /// levels * words_for_bits(dim()) or levels exceeds 31.
+  void add_biased_slices(std::span<const std::uint64_t> slices,
+                         std::size_t levels, std::uint64_t bias);
 
   /// Resets all lanes to zero.
   void clear() noexcept;

@@ -272,11 +272,26 @@ std::string render_json(const Snapshot& snap) {
 }
 
 bool write_text_file(const std::string& path, std::string_view text) noexcept {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
+  // Write a sibling temp file and rename it over the target. A rename within
+  // one directory is atomic, so a reader racing a rewrite (a textfile
+  // scraper, a poll loop) sees the old file or the new one, never an empty
+  // or short one.
+  std::string tmp;
+  try {
+    tmp = path + ".tmp";
+  } catch (...) {
+    return false;
+  }
+  std::FILE* file = std::fopen(tmp.c_str(), "wb");
   if (file == nullptr) return false;
   const std::size_t wrote = std::fwrite(text.data(), 1, text.size(), file);
   const int rc = std::fclose(file);
-  return wrote == text.size() && rc == 0;
+  if (wrote != text.size() || rc != 0 ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
+    (void)std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace hdtest::obs

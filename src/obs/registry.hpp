@@ -200,8 +200,11 @@ void set_enabled(bool on) noexcept;
 /// histograms expand to {buckets, sum, events, p50, p90, p99}.
 [[nodiscard]] std::string render_json(const Snapshot& snap);
 
-/// Writes \p text to \p path (truncate). Returns false on I/O failure; the
-/// drivers log-and-continue, telemetry must never kill a campaign.
+/// Replaces \p path with \p text atomically: writes `<path>.tmp` and renames
+/// it over \p path, so a concurrent reader never sees a partial file. One
+/// writer per path at a time. Returns false on I/O failure (the temp file is
+/// removed); the drivers log-and-continue, telemetry must never kill a
+/// campaign.
 [[nodiscard]] bool write_text_file(const std::string& path,
                                    std::string_view text) noexcept;
 

@@ -3,11 +3,11 @@
 /// Runtime-dispatched SIMD kernel layer for the packed hot paths.
 ///
 /// Every steady-state cycle of the fuzz loop burns inside a handful of
-/// word-parallel kernels: XOR+popcount class sweeps, the Harley–Seal CSA
-/// bundling ladder, the fused Eq. 1 bipolarize, and the bit-sliced delta
-/// re-encoder's patch/threshold passes. These map directly onto wide vector
-/// lanes (Schmuck et al., JETC'19), so each kernel is provided by several
-/// backends:
+/// word-parallel kernels: XOR+popcount class sweeps, the Harley–Seal
+/// carry-save bundling of the full image encode, the fused Eq. 1
+/// bipolarize, and the bit-sliced delta re-encoder's patch/threshold passes.
+/// These map directly onto wide vector lanes (Schmuck et al., JETC'19), so
+/// each kernel is provided by several backends:
 ///
 ///   swar    portable uint64 SWAR — always compiled; the production
 ///           fallback on CPUs without a vector backend.
@@ -21,9 +21,9 @@
 ///           auto-selected; the reference every other backend must agree
 ///           with bit-for-bit.
 ///
-/// This table is the one compute seam: the encoders, the associative
-/// memories and util::BitSliceAccumulator call kernels() directly, so a new
-/// kernel is one field here plus one function per backend file.
+/// This table is the one compute seam: the encoders and the associative
+/// memories call kernels() directly, so a new kernel is one field here plus
+/// one function per backend file.
 ///
 /// One backend is selected at startup: explicitly via the
 /// HDTEST_KERNEL_BACKEND environment variable ("swar" / "avx2" / "avx512" /
@@ -50,17 +50,19 @@ struct Kernels {
   std::size_t (*xor_popcount)(const std::uint64_t* a, const std::uint64_t* b,
                               std::size_t words) noexcept;
 
-  /// Ripple-carry adds one packed vector into a level-major bit-slice bank
-  /// (\p levels x \p words; the Harley–Seal CSA bundling ladder). The input
-  /// vector is a[w] when \p b is null, a[w] ^ b[w] otherwise (the bound
-  /// pixel HV, XORed in-register). \pre carry_out[0..words) is all-zero:
-  /// the kernel writes only words whose carry escaped the top level (so the
-  /// common no-escape path costs no extra stores) and returns true when any
-  /// did, letting the caller grow the ladder by one level and re-zero the
-  /// touched buffer.
-  bool (*csa_add)(std::uint64_t* slices, std::size_t words, std::size_t levels,
-                  const std::uint64_t* a, const std::uint64_t* b,
-                  std::uint64_t* carry_out) noexcept;
+  /// Harley–Seal bundling of \p count <= 16 bound pixel vectors into a
+  /// level-major bit-slice bank (\p levels x \p words): adds
+  ///   sum_i ~(pos[i][w] ^ val[i][w])
+  /// at weight 2 (level 1) to every lane, i.e. twice the number of pixels
+  /// whose bound vector has a clear bit (element +1) there. Per word chunk a
+  /// carry-save tree reduces the inputs in registers to a 5-bit count, one
+  /// multi-bit add puts it into levels 1-5, and the carry ripples above
+  /// level 5 with an early exit. The caller's bias headroom guarantees that
+  /// no carry escapes the bank (see the full encode in hdc/encoder.cpp).
+  void (*bundle_bound)(std::uint64_t* slices, std::size_t words,
+                       std::size_t levels, const std::uint64_t* const* pos,
+                       const std::uint64_t* const* val,
+                       std::size_t count) noexcept;
 
   /// The delta re-encoder's patch kernel: adds the one-pixel value swap
   /// old -> new at packed position row \p pos into a biased slice bank as

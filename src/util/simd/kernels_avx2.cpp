@@ -74,39 +74,35 @@ std::size_t xor_popcount_avx2(const std::uint64_t* a, const std::uint64_t* b,
 
 using detail::ripple_from;
 
-bool csa_add_avx2(std::uint64_t* slices, std::size_t words, std::size_t levels,
-                  const std::uint64_t* a, const std::uint64_t* b,
-                  std::uint64_t* carry_out) noexcept {
-  __m256i esc = _mm256_setzero_si256();
-  std::uint64_t esc_scalar = 0;
-  std::size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    __m256i carry = loadu(a + w);
-    if (b != nullptr) carry = _mm256_xor_si256(carry, loadu(b + w));
-    for (std::size_t j = 0; j < levels; ++j) {
-      std::uint64_t* s = slices + j * words + w;
-      const __m256i sv = loadu(s);
-      const __m256i next = _mm256_and_si256(sv, carry);
-      storeu(s, _mm256_xor_si256(sv, carry));
-      carry = next;
-      if (_mm256_testz_si256(carry, carry)) break;
-    }
-    // carry is zero here unless it survived every level; carry_out is
-    // pre-zeroed by contract, so only escaped chunks pay a store.
-    if (!_mm256_testz_si256(carry, carry)) {
-      storeu(carry_out + w, carry);
-      esc = _mm256_or_si256(esc, carry);
-    }
+/// 256-bit bitwise ops for the Harley–Seal tree (no ternary logic: a full
+/// adder is two xors for the sum and and/and/or for the carry, with a ^ b
+/// shared between them).
+struct Avx2Ops {
+  using V = __m256i;
+  static constexpr std::size_t kWords = 4;
+  static V load(const std::uint64_t* p) noexcept { return loadu(p); }
+  static void store(std::uint64_t* p, V v) noexcept { storeu(p, v); }
+  static V zero() noexcept { return _mm256_setzero_si256(); }
+  static V xnor(V a, V b) noexcept {
+    return _mm256_xor_si256(_mm256_xor_si256(a, b), _mm256_set1_epi64x(-1));
   }
-  for (; w < words; ++w) {
-    const std::uint64_t v = b != nullptr ? (a[w] ^ b[w]) : a[w];
-    const std::uint64_t carry = ripple_from(slices, words, levels, w, v, 0);
-    if (carry != 0) {
-      carry_out[w] = carry;
-      esc_scalar |= carry;
-    }
+  static V xor2(V a, V b) noexcept { return _mm256_xor_si256(a, b); }
+  static V and2(V a, V b) noexcept { return _mm256_and_si256(a, b); }
+  static V xor3(V a, V b, V c) noexcept {
+    return _mm256_xor_si256(_mm256_xor_si256(a, b), c);
   }
-  return esc_scalar != 0 || !_mm256_testz_si256(esc, esc);
+  static V maj(V a, V b, V c) noexcept {
+    return _mm256_or_si256(_mm256_and_si256(a, b),
+                           _mm256_and_si256(c, _mm256_xor_si256(a, b)));
+  }
+  static bool none(V v) noexcept { return _mm256_testz_si256(v, v) != 0; }
+};
+
+void bundle_bound_avx2(std::uint64_t* slices, std::size_t words,
+                       std::size_t levels, const std::uint64_t* const* pos,
+                       const std::uint64_t* const* val,
+                       std::size_t count) noexcept {
+  detail::bundle_bound_generic<Avx2Ops>(slices, words, levels, pos, val, count);
 }
 
 void csa_patch_avx2(std::uint64_t* slices, std::size_t words,
@@ -226,8 +222,13 @@ void am_sweep_avx2(const std::uint64_t* am, std::size_t classes,
 }
 
 constexpr Kernels kAvx2Kernels{
-    "avx2",          xor_popcount_avx2,     csa_add_avx2, csa_patch_avx2,
-    bipolarize_packed_avx2, slice_bipolarize_avx2, am_sweep_avx2,
+    "avx2",
+    xor_popcount_avx2,
+    bundle_bound_avx2,
+    csa_patch_avx2,
+    bipolarize_packed_avx2,
+    slice_bipolarize_avx2,
+    am_sweep_avx2,
 };
 
 }  // namespace

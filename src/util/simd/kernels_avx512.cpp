@@ -46,39 +46,35 @@ std::size_t xor_popcount_avx512(const std::uint64_t* a, const std::uint64_t* b,
 
 using detail::ripple_from;
 
-bool csa_add_avx512(std::uint64_t* slices, std::size_t words,
-                    std::size_t levels, const std::uint64_t* a,
-                    const std::uint64_t* b,
-                    std::uint64_t* carry_out) noexcept {
-  __m512i esc = _mm512_setzero_si512();
-  std::uint64_t esc_scalar = 0;
-  std::size_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    __m512i carry = loadu(a + w);
-    if (b != nullptr) carry = _mm512_xor_si512(carry, loadu(b + w));
-    for (std::size_t j = 0; j < levels; ++j) {
-      std::uint64_t* s = slices + j * words + w;
-      const __m512i sv = loadu(s);
-      const __m512i next = _mm512_and_si512(sv, carry);
-      storeu(s, _mm512_xor_si512(sv, carry));
-      carry = next;
-      if (_mm512_test_epi64_mask(carry, carry) == 0) break;
-    }
-    // carry_out is pre-zeroed by contract: only escaped chunks pay a store.
-    if (_mm512_test_epi64_mask(carry, carry) != 0) {
-      storeu(carry_out + w, carry);
-      esc = _mm512_or_si512(esc, carry);
-    }
+/// 512-bit bitwise ops for the Harley–Seal tree: every full-adder output is
+/// one vpternlogq (xor3 = 0x96, maj = 0xE8) and the bound addend is one
+/// xnor (0xC3).
+struct Avx512Ops {
+  using V = __m512i;
+  static constexpr std::size_t kWords = 8;
+  static V load(const std::uint64_t* p) noexcept { return loadu(p); }
+  static void store(std::uint64_t* p, V v) noexcept { storeu(p, v); }
+  static V zero() noexcept { return _mm512_setzero_si512(); }
+  static V xnor(V a, V b) noexcept {
+    return _mm512_ternarylogic_epi64(a, b, a, 0xC3);
   }
-  for (; w < words; ++w) {
-    const std::uint64_t v = b != nullptr ? (a[w] ^ b[w]) : a[w];
-    const std::uint64_t carry = ripple_from(slices, words, levels, w, v, 0);
-    if (carry != 0) {
-      carry_out[w] = carry;
-      esc_scalar |= carry;
-    }
+  static V xor2(V a, V b) noexcept { return _mm512_xor_si512(a, b); }
+  static V and2(V a, V b) noexcept { return _mm512_and_si512(a, b); }
+  static V xor3(V a, V b, V c) noexcept {
+    return _mm512_ternarylogic_epi64(a, b, c, 0x96);
   }
-  return esc_scalar != 0 || _mm512_test_epi64_mask(esc, esc) != 0;
+  static V maj(V a, V b, V c) noexcept {
+    return _mm512_ternarylogic_epi64(a, b, c, 0xE8);
+  }
+  static bool none(V v) noexcept { return _mm512_test_epi64_mask(v, v) == 0; }
+};
+
+void bundle_bound_avx512(std::uint64_t* slices, std::size_t words,
+                         std::size_t levels, const std::uint64_t* const* pos,
+                         const std::uint64_t* const* val,
+                         std::size_t count) noexcept {
+  detail::bundle_bound_generic<Avx512Ops>(slices, words, levels, pos, val,
+                                          count);
 }
 
 void csa_patch_avx512(std::uint64_t* slices, std::size_t words,
@@ -193,8 +189,13 @@ void am_sweep_avx512(const std::uint64_t* am, std::size_t classes,
 }
 
 constexpr Kernels kAvx512Kernels{
-    "avx512",          xor_popcount_avx512,     csa_add_avx512, csa_patch_avx512,
-    bipolarize_packed_avx512, slice_bipolarize_avx512, am_sweep_avx512,
+    "avx512",
+    xor_popcount_avx512,
+    bundle_bound_avx512,
+    csa_patch_avx512,
+    bipolarize_packed_avx512,
+    slice_bipolarize_avx512,
+    am_sweep_avx512,
 };
 
 }  // namespace

@@ -49,20 +49,35 @@ HDTEST_HOT_PATH std::size_t xor_popcount_oracle(const std::uint64_t* a,
   return h;
 }
 
-HDTEST_HOT_PATH bool csa_add_oracle(std::uint64_t* slices, std::size_t words,
-                                    std::size_t levels, const std::uint64_t* a,
-                                    const std::uint64_t* b,
-                                    std::uint64_t* carry_out) noexcept {
-  bool escaped = false;
+HDTEST_HOT_PATH void bundle_bound_oracle(std::uint64_t* slices,
+                                         std::size_t words, std::size_t levels,
+                                         const std::uint64_t* const* pos,
+                                         const std::uint64_t* const* val,
+                                         std::size_t count) noexcept {
+  // Lane by lane: count the addends whose bound bit is clear, read the
+  // lane's stored value level by level, add twice the count, and write it
+  // back. Bits past the top level are dropped; the caller's headroom keeps
+  // them zero.
   for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t bits = b == nullptr ? a[w] : a[w] ^ b[w];
-    const std::uint64_t carry = ripple_word(slices + w, levels, words, bits);
-    if (carry != 0) {
-      carry_out[w] = carry;
-      escaped = true;
+    for (std::size_t b = 0; b < 64; ++b) {
+      std::uint64_t clear = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        clear += (~(pos[i][w] ^ val[i][w]) >> b) & 1u;
+      }
+      std::uint64_t* slice = slices + w;
+      std::uint64_t stored = 0;
+      for (std::size_t j = 0; j < levels; ++j) {
+        stored |= ((*slice >> b) & 1u) << j;
+        slice += words;
+      }
+      stored += 2 * clear;
+      slice = slices + w;
+      for (std::size_t j = 0; j < levels; ++j) {
+        *slice = (*slice & ~(1ULL << b)) | (((stored >> j) & 1u) << b);
+        slice += words;
+      }
     }
   }
-  return escaped;
 }
 
 HDTEST_HOT_PATH void csa_patch_oracle(std::uint64_t* slices, std::size_t words,
@@ -167,7 +182,7 @@ HDTEST_HOT_PATH void am_sweep_oracle(const std::uint64_t* am,
 constexpr Kernels kOracleKernels{
     "oracle",
     xor_popcount_oracle,
-    csa_add_oracle,
+    bundle_bound_oracle,
     csa_patch_oracle,
     bipolarize_packed_oracle,
     slice_bipolarize_oracle,

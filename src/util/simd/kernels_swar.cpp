@@ -2,10 +2,10 @@
 /// Portable SWAR backend — uint64 word parallelism only, no ISA extensions.
 /// Always compiled, always selectable; the production fallback on CPUs
 /// without a vector backend. Like every backend it is property-tested
-/// bit-for-bit against the scalar oracle (kernels_oracle.cpp). The code is
-/// the former inline hot-path bodies of util::BitSliceAccumulator,
-/// Accumulator::bipolarize_packed, and the delta re-encoder, moved behind
-/// the kernel table verbatim.
+/// bit-for-bit against the scalar oracle (kernels_oracle.cpp). The
+/// Harley–Seal bundling tree runs on uint64 words (sweep_impl.hpp); the
+/// other bodies are the former inline hot paths of
+/// Accumulator::bipolarize_packed and the delta re-encoder.
 
 #include <bit>
 #include <cstddef>
@@ -29,45 +29,12 @@ std::size_t xor_popcount_swar(const std::uint64_t* a, const std::uint64_t* b,
 
 using detail::ripple_from;
 
-bool csa_add_swar(std::uint64_t* slices, std::size_t words, std::size_t levels,
-                  const std::uint64_t* a, const std::uint64_t* b,
-                  std::uint64_t* carry_out) noexcept {
-  std::uint64_t escaped = 0;
-  if (levels >= 3) {
-    // Branch-free prefix over the three always-open slices: a carry escapes
-    // them only once per 8 additions per lane, so the branchy tail stays off
-    // the hot path (per-level early exits mispredict ~50% of the time).
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t carry = b != nullptr ? (a[w] ^ b[w]) : a[w];
-      std::uint64_t* s = slices + w;
-      std::uint64_t next;
-      next = s[0] & carry;
-      s[0] ^= carry;
-      carry = next;
-      next = s[words] & carry;
-      s[words] ^= carry;
-      carry = next;
-      next = s[2 * words] & carry;
-      s[2 * words] ^= carry;
-      carry = next;
-      if (carry == 0) continue;
-      carry = ripple_from(slices, words, levels, w, carry, 3);
-      if (carry != 0) {
-        carry_out[w] = carry;
-        escaped |= carry;
-      }
-    }
-  } else {
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t v = b != nullptr ? (a[w] ^ b[w]) : a[w];
-      const std::uint64_t carry = ripple_from(slices, words, levels, w, v, 0);
-      if (carry != 0) {
-        carry_out[w] = carry;
-        escaped |= carry;
-      }
-    }
-  }
-  return escaped != 0;
+void bundle_bound_swar(std::uint64_t* slices, std::size_t words,
+                       std::size_t levels, const std::uint64_t* const* pos,
+                       const std::uint64_t* const* val,
+                       std::size_t count) noexcept {
+  detail::bundle_bound_generic<detail::WordOps>(slices, words, levels, pos,
+                                                val, count);
 }
 
 void csa_patch_swar(std::uint64_t* slices, std::size_t words,
@@ -137,8 +104,13 @@ void am_sweep_swar(const std::uint64_t* am, std::size_t classes,
 }
 
 constexpr Kernels kSwarKernels{
-    "swar",          xor_popcount_swar,     csa_add_swar, csa_patch_swar,
-    bipolarize_packed_swar, slice_bipolarize_swar, am_sweep_swar,
+    "swar",
+    xor_popcount_swar,
+    bundle_bound_swar,
+    csa_patch_swar,
+    bipolarize_packed_swar,
+    slice_bipolarize_swar,
+    am_sweep_swar,
 };
 
 }  // namespace

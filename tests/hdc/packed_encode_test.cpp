@@ -1,17 +1,20 @@
 // Tests for the dense-free encoding pipeline: the fused packed bipolarize
 // (Accumulator::bipolarize_packed), the bit-sliced full encode
-// (PixelEncoder::encode_packed / encode_into via util::BitSliceAccumulator),
-// the packed delta re-encoder (encode_mutant_packed), the parallel batch
-// encoder, and the packed fitness kernels. Everything must be bit-identical
-// to the dense int8 reference path — the same contract PR 1 established for
-// packed inference — across awkward dimensions (off-by-one around the word
-// size), tie-break (zero-lane) cases, and quantized value memories.
+// (PixelEncoder::encode_packed / encode_into via the biased bank), the
+// packed delta re-encoder (encode_mutant_packed), the parallel batch
+// encoder, and the packed fitness kernels. Every route must be bit-identical
+// to a test-side reference that shares no code with the kernels (dense
+// pixel_hv bundled through Accumulator::add, then Eq. 1) across awkward
+// dimensions (off-by-one around the word size), pixel counts that are odd,
+// even (so Eq. 1 ties occur) or not a multiple of the 16-pixel group, and
+// quantized value memories.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "backend_guard.hpp"
@@ -95,46 +98,6 @@ TEST(BipolarizePacked, RejectsDimensionMismatch) {
   EXPECT_THROW((void)acc.bipolarize_packed(tie_break), std::invalid_argument);
 }
 
-TEST(BitSliceAccumulator, MatchesNaivePerLaneCountsOnEveryBackend) {
-  for (const auto* backend : util::simd::available_kernels()) {
-    BackendGuard guard(backend->name);
-    for (const auto dim : kDims) {
-      util::Rng rng(dim * 3 + 1);
-      util::BitSliceAccumulator bits(dim);
-      Accumulator reference(dim);
-      Accumulator drained(dim);
-      // Enough vectors to force several carry levels (levels ~ log2(n)).
-      for (std::size_t n = 0; n < 37; ++n) {
-        const auto a = PackedHv::random(dim, rng);
-        const auto b = PackedHv::random(dim, rng);
-        bits.add_xor(a.words(), b.words());
-        reference.add_bound(a.to_dense(), b.to_dense());
-      }
-      EXPECT_EQ(bits.added(), 37u);
-      // Mean per-lane count is ~18.5, so the ladder must have opened at
-      // least the 5 slices that represent counts up to 31.
-      EXPECT_GE(bits.levels(), 5u) << backend->name;
-      drained.add_bitsliced(bits);
-      for (std::size_t i = 0; i < dim; ++i) {
-        ASSERT_EQ(drained.lane(i), reference.lane(i))
-            << backend->name << " dim=" << dim << " lane=" << i;
-      }
-    }
-  }
-}
-
-TEST(BitSliceAccumulator, ClearResetsCounts) {
-  util::BitSliceAccumulator bits(128);
-  util::Rng rng(9);
-  const auto v = PackedHv::random(128, rng);
-  bits.add(v.words());
-  bits.clear();
-  EXPECT_EQ(bits.added(), 0u);
-  Accumulator acc(128);
-  acc.add_bitsliced(bits);
-  for (std::size_t i = 0; i < 128; ++i) ASSERT_EQ(acc.lane(i), 0);
-}
-
 TEST(PackedHv, FromWordsValidates) {
   EXPECT_THROW((void)PackedHv::from_words(0, std::vector<std::uint64_t>{}), std::invalid_argument);
   EXPECT_THROW((void)PackedHv::from_words(64, {1, 2}), std::invalid_argument);
@@ -144,6 +107,106 @@ TEST(PackedHv, FromWordsValidates) {
   const auto v = PackedHv::from_words(65, {~0ULL, 1ULL});
   EXPECT_EQ(v.dim(), 65u);
   EXPECT_EQ(v.get(64), -1);
+}
+
+/// The test-side encode: every pixel's dense bound HV (pixel_hv, which
+/// regenerates remat rows densely) summed through Accumulator::add. Shares
+/// no code with the bank builder or any kernel.
+Accumulator reference_lanes(const PixelEncoder& enc, const data::Image& img) {
+  Accumulator acc(enc.dim());
+  const auto pixels = img.pixels();
+  for (std::size_t p = 0; p < pixels.size(); ++p) {
+    acc.add(enc.pixel_hv(p, pixels[p]));
+  }
+  return acc;
+}
+
+PackedHv reference_encode(const PixelEncoder& enc, const data::Image& img) {
+  return PackedHv::from_dense(
+      reference_lanes(enc, img).bipolarize(enc.tie_break()));
+}
+
+/// \p parent with \p count random pixels set to random values (the rand
+/// strategy's shape).
+data::Image mutate_pixels(const data::Image& parent, std::size_t count,
+                          util::Rng& rng) {
+  data::Image child = parent;
+  for (std::size_t c = 0; c < count; ++c) {
+    child.pixels()[rng.uniform_u64(child.size())] =
+        static_cast<std::uint8_t>(rng.uniform_u64(256));
+  }
+  return child;
+}
+
+// Every encode route against the independent reference, on every backend
+// (the oracle included) and in both codebook modes: encode_into's lanes
+// exactly, and the packed, dense, root-patch and lineage-patch queries.
+// P = 63 is odd (no lane can be zero); P = 64 and P = 204 are even, so Eq. 1
+// ties occur and must take the tie-break bit; 63 and 204 are not multiples
+// of the 16-pixel bundle group, and P = 204 needs 10 slice levels.
+TEST(PackedEncode, EveryRouteMatchesTheIndependentReference) {
+  struct Shape {
+    std::size_t width;
+    std::size_t height;
+  };
+  for (const auto* backend : util::simd::available_kernels()) {
+    BackendGuard guard(backend->name);
+    for (const auto mode : {CodebookMode::kStored, CodebookMode::kRemat}) {
+      for (const Shape shape : {Shape{9, 7}, Shape{8, 8}, Shape{17, 12}}) {
+        const std::size_t pixels = shape.width * shape.height;
+        for (const std::size_t dim : {63u, 64u, 65u, 1000u}) {
+          ModelConfig config = config_for(dim);
+          config.codebook = mode;
+          const PixelEncoder enc(config, shape.width, shape.height);
+          const std::string where =
+              std::string(backend->name) + " remat=" +
+              std::to_string(mode == CodebookMode::kRemat) +
+              " P=" + std::to_string(pixels) + " dim=" + std::to_string(dim);
+          const auto original = random_image(shape.width, shape.height, dim);
+          const Accumulator lanes = reference_lanes(enc, original);
+          std::size_t ties = 0;
+          for (const auto lane : lanes.lanes()) ties += lane == 0 ? 1 : 0;
+          if (pixels % 2 == 1) {
+            EXPECT_EQ(ties, 0u) << where;
+          } else if (dim >= 1000) {
+            // P(lane == 0) is ~10% at P = 64 and ~6% at P = 204.
+            EXPECT_GT(ties, 10u) << where;
+          }
+
+          Accumulator drained(dim);
+          enc.encode_into(original, drained);
+          ASSERT_TRUE(std::equal(drained.lanes().begin(), drained.lanes().end(),
+                                 lanes.lanes().begin(), lanes.lanes().end()))
+              << where;
+          ASSERT_EQ(enc.encode(original), lanes.bipolarize(enc.tie_break()))
+              << where;
+          ASSERT_EQ(enc.encode_packed(original),
+                    PackedHv::from_dense(lanes.bipolarize(enc.tie_break())))
+              << where;
+
+          IncrementalPixelEncoder inc(enc);
+          inc.rebase(original);
+          util::Rng rng(dim + pixels);
+          const auto sparse = mutate_pixels(original, 3, rng);
+          ASSERT_EQ(inc.encode_mutant_packed(sparse),
+                    reference_encode(enc, sparse))
+              << where;
+          data::Image parent = original;
+          SliceBank parent_bank;
+          SliceBank child_bank;
+          for (int gen = 0; gen < 4; ++gen) {
+            const auto child = mutate_pixels(parent, 2, rng);
+            ASSERT_EQ(
+                inc.encode_child_packed(child, parent, parent_bank, child_bank),
+                reference_encode(enc, child))
+                << where << " gen=" << gen;
+            parent = child;
+            std::swap(parent_bank, child_bank);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PackedEncode, MatchesDenseEncodeAcrossDimsOnEveryBackend) {
@@ -242,18 +305,6 @@ TEST(PackedEncode, EncodeMutantPackedMatchesDenseOnEveryBackend) {
           << backend->name << " dim=" << dim;
     }
   }
-}
-
-/// \p parent with \p count random pixels set to random values (the rand
-/// strategy's shape).
-data::Image mutate_pixels(const data::Image& parent, std::size_t count,
-                          util::Rng& rng) {
-  data::Image child = parent;
-  for (std::size_t c = 0; c < count; ++c) {
-    child.pixels()[rng.uniform_u64(child.size())] =
-        static_cast<std::uint8_t>(rng.uniform_u64(256));
-  }
-  return child;
 }
 
 // A 30-generation rand lineage encoded parent-relative: each child patches

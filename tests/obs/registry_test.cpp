@@ -7,10 +7,15 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -236,6 +241,53 @@ TEST(ObsRegistry, JsonDumpCarriesQuantilesAndEscapesNames) {
   EXPECT_NE(text.find("\"events\":100"), std::string::npos);
   EXPECT_NE(text.find("\"p50\":127"), std::string::npos);
   EXPECT_NE(text.find("\"p99\":127"), std::string::npos);
+}
+
+// A reader polling the file while it is rewritten 1,000 times only ever sees
+// a whole version: never a missing, empty, short or mixed file.
+TEST(ObsRegistry, WriteTextFileNeverExposesAPartialFile) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("hdtest_atomic_write_" + std::to_string(::getpid()) + ".prom"))
+          .string();
+  const std::size_t size = 64 * 1024;
+  ASSERT_TRUE(write_text_file(path, std::string(size, 'a')));
+  std::atomic<bool> done{false};
+  std::size_t reads = 0;
+  std::size_t bad_reads = 0;
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      std::ifstream in(path, std::ios::binary);
+      const std::string text((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+      ++reads;
+      const bool whole =
+          text.size() == size &&
+          std::all_of(text.begin(), text.end(),
+                      [&](char c) { return c == text.front(); });
+      if (!whole) ++bad_reads;
+    }
+  });
+  bool all_written = true;
+  for (int i = 0; i < 1000; ++i) {
+    const auto fill = static_cast<char>('a' + i % 26);
+    all_written &= write_text_file(path, std::string(size, fill));
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_TRUE(all_written);
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(bad_reads, 0u) << "of " << reads << " reads";
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
+}
+
+TEST(ObsRegistry, WriteTextFileFailsCleanlyOnAMissingDirectory) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "hdtest_no_such_dir" / "metrics.prom")
+                               .string();
+  EXPECT_FALSE(write_text_file(path, "x 1\n"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 }  // namespace

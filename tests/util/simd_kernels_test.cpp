@@ -3,8 +3,9 @@
 // oracle on every kernel, across word counts that straddle the vector widths
 // (1/2/4/8-word boundaries plus the paper's operating points). The oracle
 // itself is pinned by absolute checks (planted AM matches, lowest-index
-// ties, zero tail bits, escaping carries). Also covers the selection API
-// itself (registry shape, forced selection, unknown-name rejection).
+// ties, zero tail bits, naive per-lane bundle counts). Also covers the
+// selection API itself (registry shape, forced selection, unknown-name
+// rejection).
 
 #include <gtest/gtest.h>
 
@@ -117,40 +118,88 @@ TEST(SimdKernels, XorPopcountMatchesOracleEverywhere) {
   }
 }
 
-TEST(SimdKernels, CsaAddMatchesOracleIncludingEscapes) {
+/// Stored value of lane \p lane in a level-major bank.
+std::uint64_t stored_value(const std::vector<std::uint64_t>& bank,
+                           std::size_t words, std::size_t levels,
+                           std::size_t lane) {
+  std::uint64_t value = 0;
+  for (std::size_t j = 0; j < levels; ++j) {
+    value |= ((bank[j * words + lane / 64] >> (lane % 64)) & 1u) << j;
+  }
+  return value;
+}
+
+// Every backend's Harley–Seal tree against the oracle, for every addend
+// count a group can have, at dims straddling the vector widths and the
+// paper's operating points. Half the lanes of each bank are pre-biased to
+// within 40 of the top of their headroom (2^levels - 1 - 2*count), the other
+// half anywhere below it, so carries out of level 5 ripple through runs of
+// set high levels and stop at every height. The oracle is pinned to the
+// naive per-lane count.
+TEST(SimdKernels, BundleBoundMatchesOracle) {
   Rng rng(12);
-  bool any_escape = false;
-  for (const std::size_t words : kWordCounts) {
-    for (const std::size_t levels : {1u, 2u, 3u, 5u}) {
-      const auto bank0 = random_words(levels * words, rng);
-      const auto a = random_words(words, rng);
-      const auto b = random_words(words, rng);
-      for (const bool with_xor : {false, true}) {
-        auto expected_bank = bank0;
-        // All-zero on entry, per the csa_add contract.
-        std::vector<std::uint64_t> expected_carry(words, 0);
-        const bool expected_escape = oracle().csa_add(
-            expected_bank.data(), words, levels, a.data(),
-            with_xor ? b.data() : nullptr, expected_carry.data());
-        any_escape |= expected_escape;
+  bool high_ripple = false;
+  for (const std::size_t dim : {63u, 64u, 65u, 4096u, 16384u}) {
+    const std::size_t words = (dim + 63) / 64;
+    std::vector<std::vector<std::uint64_t>> rows;
+    for (std::size_t i = 0; i < 32; ++i) {
+      rows.push_back(random_words(words, rng));
+    }
+    std::vector<const std::uint64_t*> pos;
+    std::vector<const std::uint64_t*> val;
+    for (std::size_t i = 0; i < 16; ++i) {
+      pos.push_back(rows[i].data());
+      val.push_back(rows[16 + i].data());
+    }
+    for (const std::size_t levels : {2u, 4u, 6u, 7u, 12u}) {
+      for (std::size_t count = 0; count <= 16; ++count) {
+        const std::uint64_t top = (1u << levels) - 1;
+        if (2 * count > top) continue;
+        const std::uint64_t headroom = top - 2 * count;
+        std::vector<std::uint64_t> bank0(levels * words, 0);
+        for (std::size_t lane = 0; lane < words * 64; ++lane) {
+          const std::uint64_t value =
+              lane % 2 == 0
+                  ? rng.uniform_u64(headroom + 1)
+                  : headroom - rng.uniform_u64(
+                                   std::min<std::uint64_t>(40, headroom) + 1);
+          for (std::size_t j = 0; j < levels; ++j) {
+            bank0[j * words + lane / 64] |= ((value >> j) & 1u) << (lane % 64);
+          }
+        }
+        auto expected = bank0;
+        oracle().bundle_bound(expected.data(), words, levels, pos.data(),
+                              val.data(), count);
+        for (std::size_t lane = 0; lane < words * 64; ++lane) {
+          std::uint64_t clear = 0;
+          for (std::size_t i = 0; i < count; ++i) {
+            const std::uint64_t bound = ~(pos[i][lane / 64] ^ val[i][lane / 64]);
+            clear += (bound >> (lane % 64)) & 1u;
+          }
+          ASSERT_EQ(stored_value(expected, words, levels, lane),
+                    stored_value(bank0, words, levels, lane) + 2 * clear)
+              << "dim=" << dim << " levels=" << levels << " count=" << count
+              << " lane=" << lane;
+        }
+        for (std::size_t j = 7; j < levels; ++j) {
+          for (std::size_t w = 0; w < words; ++w) {
+            high_ripple |= expected[j * words + w] != bank0[j * words + w];
+          }
+        }
         for (const Kernels* k : available_kernels()) {
           auto bank = bank0;
-          std::vector<std::uint64_t> carry(words, 0);
-          const bool escape =
-              k->csa_add(bank.data(), words, levels, a.data(),
-                         with_xor ? b.data() : nullptr, carry.data());
-          EXPECT_EQ(escape, expected_escape) << k->name << " words=" << words;
-          EXPECT_EQ(bank, expected_bank)
-              << k->name << " words=" << words << " levels=" << levels;
-          EXPECT_EQ(carry, expected_carry)
-              << k->name << " words=" << words << " levels=" << levels;
+          k->bundle_bound(bank.data(), words, levels, pos.data(), val.data(),
+                          count);
+          EXPECT_EQ(bank, expected) << k->name << " dim=" << dim
+                                    << " levels=" << levels
+                                    << " count=" << count;
         }
       }
     }
   }
-  // Random banks this shallow must overflow somewhere, so the escape path
-  // (flag plus carry buffer) was compared, not just the absorbed path.
-  EXPECT_TRUE(any_escape);
+  // A carry reached level 7, so the ripple above the tree's five output
+  // levels was compared, not just the multi-bit add.
+  EXPECT_TRUE(high_ripple);
 }
 
 TEST(SimdKernels, CsaPatchMatchesOracle) {
