@@ -332,5 +332,45 @@ TEST(SerializeRemat, EveryFlippedHeaderOrTableByteIsRejected) {
   expect_stream_load_throws(clean.substr(0, clean.size() - 1));
 }
 
+// --- pinned bytes ----------------------------------------------------------
+
+struct GoldenCell {
+  CodebookMode mode;
+  ValueStrategy strategy;
+  std::uint64_t file_fnv1a;  ///< recorded from the dense-built codebooks
+};
+
+class SerializeGolden : public ::testing::TestWithParam<GoldenCell> {};
+
+// The whole v3 file of a small fixed model, pinned by its FNV-1a across
+// commits: a codebook builder, the training sums, finalize's Eq. 1 or the
+// writer that moves one bit of a saved model fails here.
+TEST_P(SerializeGolden, V3BytesArePinned) {
+  const GoldenCell cell = GetParam();
+  const auto bytes = serialized(trained(cell.mode, 256, cell.strategy));
+  EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), cell.file_fnv1a)
+      << "actual 0x" << std::hex << fnv1a(bytes.data(), bytes.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, SerializeGolden,
+    ::testing::Values(
+        GoldenCell{CodebookMode::kStored, ValueStrategy::kRandom,
+                   0x83616c83c5dade29ULL},
+        GoldenCell{CodebookMode::kStored, ValueStrategy::kLevel,
+                   0xbf581fa9edb10ddbULL},
+        GoldenCell{CodebookMode::kStored, ValueStrategy::kThermometer,
+                   0x46dc18bc54bd63aaULL},
+        GoldenCell{CodebookMode::kRemat, ValueStrategy::kRandom,
+                   0x06c034500f7fd249ULL},
+        GoldenCell{CodebookMode::kRemat, ValueStrategy::kLevel,
+                   0x6fcb661bbb138e99ULL},
+        GoldenCell{CodebookMode::kRemat, ValueStrategy::kThermometer,
+                   0x398a6254ec760981ULL}),
+    [](const ::testing::TestParamInfo<GoldenCell>& cell) {
+      return to_string(cell.param.mode) + "_" +
+             to_string(cell.param.strategy);
+    });
+
 }  // namespace
 }  // namespace hdtest::hdc
