@@ -1,6 +1,6 @@
 /// \file schedule_ablation.cpp
 /// Ablation: AFL-style energy scheduling vs the paper's uniform per-input
-/// budget, at equal total model-query cost.
+/// budget, at an equal cap on total model queries.
 ///
 /// The paper's campaign gives every input the same iteration cap. Section
 /// V-B shows vulnerability is heavily skewed across inputs, which is exactly
@@ -33,13 +33,13 @@ int main() {
       benchutil::env_u64("HDTEST_SCHED_BUDGET", 30000);
 
   util::TextTable table;
-  table.set_header({"Strategy", "Mode", "Budget (encodes)", "Solved",
+  table.set_header({"Strategy", "Mode", "Encodes spent", "Solved",
                     "Solved/1K encodes"});
   table.set_alignments({util::Align::kLeft, util::Align::kLeft,
                         util::Align::kRight, util::Align::kRight,
                         util::Align::kRight});
   util::CsvWriter csv(benchutil::out_dir() + "/schedule_ablation.csv");
-  csv.header({"strategy", "mode", "budget", "solved", "solved_per_1k"});
+  csv.header({"strategy", "mode", "encodes", "solved", "solved_per_1k"});
 
   for (const char* name : {"rand", "row_col_rand"}) {
     const auto strategy = fuzz::make_strategy(name);
@@ -54,7 +54,7 @@ int main() {
     const auto sched_result = fuzz::run_scheduled_campaign(
         *setup.model, *strategy, inputs, scheduled);
 
-    // Uniform: identical total budget split evenly, independent runs.
+    // Uniform: the same cap split evenly, independent runs.
     fuzz::FuzzConfig uniform;
     uniform.budget = fuzz::default_budget_for_strategy(name);
     uniform.iter_times = std::max<std::size_t>(
@@ -86,10 +86,12 @@ int main() {
 
   std::printf("%s\n", table.to_string().c_str());
   std::printf(
-      "expectation: at matched budgets the scheduler solves at least as\n"
+      "expectation: at matched encode caps the scheduler solves at least as\n"
       "many inputs, with the gap widening when vulnerability is skewed\n"
       "(paper V-B) — easy inputs cost it almost nothing and hard inputs\n"
-      "resume instead of restarting.\n");
+      "resume instead of restarting. The caps match, the spend does not:\n"
+      "budget-rejected mutants cost no encode, so uniform spends far less\n"
+      "than its cap.\n");
   std::printf("CSV written to %s/schedule_ablation.csv\n",
               benchutil::out_dir().c_str());
   return 0;

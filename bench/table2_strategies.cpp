@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -25,6 +26,7 @@
 #include "fuzz/mutation.hpp"
 #include "fuzz/report.hpp"
 #include "fuzz/shard/runtime.hpp"
+#include "util/stats.hpp"
 
 int main() {
   using namespace hdtest;
@@ -45,14 +47,32 @@ int main() {
   for (const char* name : {"gauss", "rand", "row_col_rand", "shift"}) {
     grid.add(name, setup.data.test, cell);
   }
+  // A cell's campaign takes ~10-15 ms at the default size, short enough for
+  // scheduler noise to swap close strategies between runs. Each cell runs
+  // kRepetitions times and reports the median time; every repetition must
+  // reproduce the first one's records.
+  constexpr int kRepetitions = 5;
   fuzz::shard::CampaignRuntime runtime(setup.params.workers);
   std::vector<fuzz::CampaignResult> campaigns;
   for (const auto& job : grid.jobs()) {
-    campaigns.push_back(runtime.run(*job.fuzzer, *job.inputs, job.config));
-    std::printf("ran '%s': %zu/%zu adversarial in %s\n",
-                campaigns.back().strategy_name.c_str(),
-                campaigns.back().successes(), campaigns.back().images_fuzzed(),
-                util::format_duration(campaigns.back().total_seconds).c_str());
+    auto first = runtime.run(*job.fuzzer, *job.inputs, job.config);
+    std::vector<double> seconds{first.total_seconds};
+    for (int rep = 1; rep < kRepetitions; ++rep) {
+      const auto again = runtime.run(*job.fuzzer, *job.inputs, job.config);
+      if (!fuzz::identical_records(first, again)) {
+        std::fprintf(stderr, "error: '%s' repetition %d changed the records\n",
+                     first.strategy_name.c_str(), rep);
+        return 1;
+      }
+      seconds.push_back(again.total_seconds);
+    }
+    first.total_seconds = util::percentile(seconds, 50.0);
+    std::printf("ran '%s' x%d: %zu/%zu adversarial, median %s, records "
+                "identical\n",
+                first.strategy_name.c_str(), kRepetitions, first.successes(),
+                first.images_fuzzed(),
+                util::format_duration(first.total_seconds).c_str());
+    campaigns.push_back(std::move(first));
   }
 
   std::printf("\n%s\n",

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   std::size_t checked = std::min<std::size_t>(20, batch_labels.size());
   for (std::size_t i = 0; i < checked; ++i) {
     if (batch_labels[i] != model.predict(pair.test.images[i])) {
-      std::fprintf(stderr, "packed/dense disagreement on image %zu\n", i);
+      std::fprintf(stderr, "batch/per-sample disagreement on image %zu\n", i);
       return 1;
     }
   }
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
 
   // 3. Serve: save the v3 artifact, map it read-only, predict through the
   //    mapping. The mapped path re-uses the file's packed codebooks and AM
-  //    rows in place — no dense rebuild, no regeneration from the seed —
+  //    rows in place — no rebuild, no regeneration from the seed —
   //    and must agree bit-exactly with the in-memory model.
   // Unique per run so concurrent quickstarts on one host don't race on the
   // artifact (portable — no POSIX getpid dependency).

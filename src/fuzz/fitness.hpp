@@ -26,8 +26,8 @@ struct ScoredSeed {
   double fitness = 0.0;
 };
 
-/// The paper's fitness of an already-encoded packed query: identical
-/// doubles to 1 - the dense cosine (packed similarity is exact, see
+/// The paper's fitness of an already-encoded packed query: 1 - its cosine
+/// to the reference class (exact for bipolar HVs, see
 /// PackedAssocMemory::similarity_to), computed from XOR+popcount.
 [[nodiscard]] inline double fitness_of(const hdc::PackedAssocMemory& am,
                                        std::size_t reference_label,

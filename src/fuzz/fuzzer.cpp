@@ -111,8 +111,8 @@ void GenerationStep::breed(util::Rng& rng, FuzzOutcome& outcome) {
     free_slots_.pop_back();
     perturbations_.push_back(perturbation);
   }
-  // Packed end to end: no dense Hypervector is materialized and nothing is
-  // re-packed via from_dense (asserted by tests/fuzz/dense_free_test).
+  // Packed end to end: delta or full packed encodes, then one blocked AM
+  // sweep per model (asserted by tests/fuzz/dense_free_test).
   for (std::size_t m = 0; m < models_.size(); ++m) {
     queries_[m].clear();
     for (std::size_t b = 0; b < mutants_.size(); ++b) {
@@ -172,8 +172,8 @@ std::size_t judge_against_reference(const hdc::PackedAssocMemory& am,
                                     std::span<const hdc::PackedHv> queries,
                                     std::span<double> fitness,
                                     std::size_t& found_label) {
-  // The sweep's reference-class scores are identical doubles to the dense
-  // cosine, so no class row is re-walked for fitness.
+  // The sweep's reference-class scores are identical doubles to
+  // similarity_to, so no class row is re-walked for fitness.
   const auto sweep = am.predict_block(queries, reference);
   for (std::size_t b = 0; b < queries.size(); ++b) {
     fitness[b] = 1.0 - sweep.ref_scores[b];

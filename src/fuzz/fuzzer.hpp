@@ -103,7 +103,7 @@ struct SeedContext {
   std::size_t reference_label = 0;  ///< HDC(t) — the differential reference
 };
 
-/// Full-encodes \p input under \p model into a seed context, dense-free
+/// Full-encodes \p input under \p model into a seed context
 /// (Fuzzer::prepare_seed; the other image fuzzers' reference queries).
 [[nodiscard]] SeedContext make_seed_context(const hdc::HdcClassifier& model,
                                             const data::Image& input);
@@ -240,8 +240,8 @@ class Fuzzer {
 
   /// Same, reusing a prepared seed context (campaigns warm one per input).
   /// This overload is the campaign steady state, so it carries the
-  /// hdtest-dense-free hot-path contract: no dense Hypervector, no
-  /// from_dense, no explicit allocation anywhere in its static call tree.
+  /// hdtest-dense-free hot-path contract: no explicit allocation anywhere
+  /// in its static call tree.
   /// \pre seed was produced by prepare_seed(input) on this fuzzer's model.
   HDTEST_HOT_PATH [[nodiscard]] FuzzOutcome fuzz_one(
       const data::Image& input, util::Rng& rng, const SeedContext& seed) const;

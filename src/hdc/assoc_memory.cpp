@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "hdc/instrument.hpp"
+#include "util/bitops.hpp"
 #include "util/rng.hpp"
 
 namespace hdtest::hdc {
@@ -20,15 +22,7 @@ AssociativeMemory::AssociativeMemory(std::size_t num_classes, std::size_t dim,
     accumulators_.emplace_back(dim);
   }
   util::Rng rng(util::derive_seed(seed, 0x7ab5ULL));
-  tie_break_ = Hypervector::random(dim, rng);
-}
-
-void AssociativeMemory::add(std::size_t cls, const Hypervector& hv, int weight) {
-  if (cls >= accumulators_.size()) {
-    throw std::out_of_range("AssociativeMemory::add: class index out of range");
-  }
-  accumulators_[cls].add(hv, weight);
-  finalized_ = false;
+  tie_break_ = PackedHv::random(dim, rng);
 }
 
 void AssociativeMemory::add_packed(std::size_t cls, const PackedHv& hv,
@@ -64,33 +58,21 @@ void AssociativeMemory::restore_finalized(std::vector<Accumulator> accumulators,
   }
   accumulators_ = std::move(accumulators);
   packed_ = std::move(packed);
-  class_hvs_.clear();
-  class_hvs_.reserve(accumulators_.size());
-  for (std::size_t c = 0; c < accumulators_.size(); ++c) {
-    class_hvs_.push_back(
-        PackedHv::from_words(dim_, packed_.class_words(c)).to_dense());
-  }
   finalized_ = true;
 }
 
 void AssociativeMemory::finalize() {
-  class_hvs_.clear();
-  class_hvs_.reserve(accumulators_.size());
+  const std::size_t stride = util::words_for_bits(dim_);
+  std::vector<std::uint64_t> rows;
+  rows.reserve(accumulators_.size() * stride);
   for (const auto& acc : accumulators_) {
-    class_hvs_.push_back(acc.bipolarize(tie_break_));
+    const PackedHv row = acc.bipolarize_packed(tie_break_);
+    rows.insert(rows.end(), row.words().begin(), row.words().end());
   }
-  packed_ = PackedAssocMemory(class_hvs_, similarity_);
+  packed_ = PackedAssocMemory(dim_, accumulators_.size(), similarity_,
+                              std::move(rows));
+  instrument::note_packed_am_rebuild();
   finalized_ = true;
-}
-
-const Hypervector& AssociativeMemory::class_hv(std::size_t cls) const {
-  if (!finalized_) {
-    throw std::logic_error("AssociativeMemory: finalize() before class_hv()");
-  }
-  if (cls >= class_hvs_.size()) {
-    throw std::out_of_range("AssociativeMemory::class_hv: class index out of range");
-  }
-  return class_hvs_[cls];
 }
 
 const Accumulator& AssociativeMemory::accumulator(std::size_t cls) const {
@@ -100,65 +82,11 @@ const Accumulator& AssociativeMemory::accumulator(std::size_t cls) const {
   return accumulators_[cls];
 }
 
-std::vector<double> AssociativeMemory::similarities(
-    const Hypervector& query) const {
-  if (!finalized_) {
-    throw std::logic_error("AssociativeMemory: finalize() before similarities()");
-  }
-  std::vector<double> sims;
-  sims.reserve(class_hvs_.size());
-  for (const auto& ref : class_hvs_) {
-    sims.push_back(similarity_ == Similarity::kCosine
-                       ? cosine(query, ref)
-                       : hamming_similarity(query, ref));
-  }
-  return sims;
-}
-
-std::size_t AssociativeMemory::predict(const Hypervector& query) const {
-  const auto sims = similarities(query);
-  std::size_t best = 0;
-  for (std::size_t c = 1; c < sims.size(); ++c) {
-    if (sims[c] > sims[best]) best = c;
-  }
-  return best;
-}
-
-std::vector<double> AssociativeMemory::similarities_packed(
-    const PackedHv& query) const {
-  if (!finalized_) {
-    throw std::logic_error(
-        "AssociativeMemory: finalize() before similarities_packed()");
-  }
-  return packed_.similarities(query);
-}
-
-std::size_t AssociativeMemory::predict_packed(const PackedHv& query) const {
-  if (!finalized_) {
-    throw std::logic_error(
-        "AssociativeMemory: finalize() before predict_packed()");
-  }
-  return packed_.predict(query);
-}
-
 const PackedAssocMemory& AssociativeMemory::packed() const {
   if (!finalized_) {
     throw std::logic_error("AssociativeMemory: finalize() before packed()");
   }
   return packed_;
-}
-
-double AssociativeMemory::similarity_to(std::size_t cls,
-                                        const Hypervector& query) const {
-  if (!finalized_) {
-    throw std::logic_error("AssociativeMemory: finalize() before similarity_to()");
-  }
-  if (cls >= class_hvs_.size()) {
-    throw std::out_of_range("AssociativeMemory::similarity_to: class index out of range");
-  }
-  return similarity_ == Similarity::kCosine
-             ? cosine(query, class_hvs_[cls])
-             : hamming_similarity(query, class_hvs_[cls]);
 }
 
 }  // namespace hdtest::hdc

@@ -13,8 +13,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "hdc/accumulator.hpp"
 #include "hdc/config.hpp"
-#include "hdc/hypervector.hpp"
 #include "hdc/packed_assoc_memory.hpp"
 #include "hdc/packed_hv.hpp"
 
@@ -35,65 +35,34 @@ class AssociativeMemory {
     return similarity_;
   }
 
-  /// Adds a training HV to class \p cls (weight -1 subtracts, e.g. for
-  /// perceptron-style retraining). Invalidates finalization.
-  /// \throws std::out_of_range for a bad class index.
-  void add(std::size_t cls, const Hypervector& hv, int weight = 1);
-
-  /// Packed counterpart of add(): identical integer lane updates from a
-  /// sign-bit-packed HV, so cached packed queries can train/retrain without
-  /// a dense unpack. Invalidates finalization.
+  /// Adds a sign-bit-packed training HV to class \p cls (weight -1
+  /// subtracts, e.g. for perceptron-style retraining). Invalidates
+  /// finalization.
   /// \throws std::out_of_range / std::invalid_argument on bad class or dim.
   void add_packed(std::size_t cls, const PackedHv& hv, int weight = 1);
 
   /// Restores the complete finalized state from a checkpoint: accumulators
-  /// plus the packed prototype snapshot, skipping the bipolarize + dense->
-  /// packed rebuild that finalize() performs (hdc::load_model). The
-  /// dense class HVs are unpacked from the snapshot — exact, because packed
-  /// rows are lossless images of the bipolar prototypes. \pre \p packed was
-  /// built from the accumulators' own bipolarization (the saver guarantees
-  /// this; a mismatch would desync the dense and packed prediction paths).
+  /// plus the packed prototype snapshot, skipping the bipolarize that
+  /// finalize() performs (hdc::load_model). \pre \p packed was built from
+  /// the accumulators' own bipolarization (the saver guarantees this; a
+  /// mismatch would make retraining start from other prototypes).
   /// \throws std::invalid_argument on class/dim/similarity mismatch.
   void restore_finalized(std::vector<Accumulator> accumulators,
                          PackedAssocMemory packed);
 
-  /// Bipolarizes all class accumulators into reference HVs (Eq. 1).
-  /// Idempotent; callable again after further add() calls.
+  /// Bipolarizes all class accumulators into packed reference HVs (Eq. 1,
+  /// zero lanes resolved by a fixed per-seed tie-break HV). Idempotent;
+  /// callable again after further add_packed() calls.
   void finalize();
 
   [[nodiscard]] bool finalized() const noexcept { return finalized_; }
 
-  /// The reference HV of a class. \throws std::logic_error before finalize().
-  [[nodiscard]] const Hypervector& class_hv(std::size_t cls) const;
-
   /// Raw accumulator for inspection/tests. \throws std::out_of_range.
   [[nodiscard]] const Accumulator& accumulator(std::size_t cls) const;
 
-  /// Similarity of \p query against every class (cosine or normalized
-  /// Hamming similarity per the configured metric).
-  /// \throws std::logic_error before finalize().
-  [[nodiscard]] std::vector<double> similarities(const Hypervector& query) const;
-
-  /// Argmax class for \p query (ties break toward the lower class index,
-  /// which is deterministic and documented).
-  [[nodiscard]] std::size_t predict(const Hypervector& query) const;
-
-  /// Similarity between \p query and one specific class's reference HV.
-  [[nodiscard]] double similarity_to(std::size_t cls, const Hypervector& query) const;
-
-  /// Fast path: argmax over the bit-packed class HVs (cached at finalize()).
-  /// Bit-identical ranking to predict() — packed dot equals dense dot for
-  /// bipolar HVs — at a fraction of the memory traffic. The caller packs the
-  /// query once (PackedHv::from_dense) and may reuse it across queries.
-  [[nodiscard]] std::size_t predict_packed(const PackedHv& query) const;
-
-  /// Packed similarity vector (same values as similarities() under cosine;
-  /// Hamming-normalized under kHamming).
-  [[nodiscard]] std::vector<double> similarities_packed(const PackedHv& query) const;
-
-  /// The packed snapshot backing the fast path (rebuilt by finalize()).
-  /// This is the batch-inference engine: callers hold onto the reference and
-  /// issue predict_batch() calls against it.
+  /// The packed class HVs (rebuilt by finalize()): the inference engine.
+  /// Callers hold onto the reference and issue predict(), similarities()
+  /// and predict_batch() calls against it.
   /// \throws std::logic_error before finalize().
   [[nodiscard]] const PackedAssocMemory& packed() const;
 
@@ -101,9 +70,8 @@ class AssociativeMemory {
   std::size_t dim_;
   Similarity similarity_;
   std::vector<Accumulator> accumulators_;
-  std::vector<Hypervector> class_hvs_;
-  PackedAssocMemory packed_;  ///< cache rebuilt by finalize()
-  Hypervector tie_break_;
+  PackedAssocMemory packed_;  ///< rebuilt by finalize()
+  PackedHv tie_break_;
   bool finalized_ = false;
 };
 

@@ -27,9 +27,8 @@ void HdcClassifier::fit(const data::Dataset& train, std::size_t workers) {
     throw std::invalid_argument("HdcClassifier::fit: class count mismatch");
   }
   // Encode in parallel chunks (bounding peak memory to kChunk packed HVs),
-  // then accumulate sequentially in dataset order — bit-identical to the
-  // one-at-a-time dense loop for any worker count (packed encode and
-  // add_packed reproduce the dense integers exactly).
+  // then accumulate sequentially in dataset order, so the model is
+  // identical for any worker count.
   constexpr std::size_t kChunk = 256;
   for (std::size_t start = 0; start < train.size(); start += kChunk) {
     const std::size_t len = std::min(kChunk, train.size() - start);
@@ -85,14 +84,14 @@ std::size_t HdcClassifier::predict(const data::Image& image) const {
   if (!trained()) {
     throw std::logic_error("HdcClassifier::predict: model not trained");
   }
-  return am_.predict(encoder_.encode(image));
+  return am_.packed().predict(encoder_.encode_packed(image));
 }
 
 std::vector<double> HdcClassifier::similarities(const data::Image& image) const {
   if (!trained()) {
     throw std::logic_error("HdcClassifier::similarities: model not trained");
   }
-  return am_.similarities(encoder_.encode(image));
+  return am_.packed().similarities(encoder_.encode_packed(image));
 }
 
 std::vector<std::size_t> HdcClassifier::predict_batch(
@@ -102,20 +101,11 @@ std::vector<std::size_t> HdcClassifier::predict_batch(
   }
   // Two packed phases, both worker-count independent: bit-sliced encode +
   // fused bipolarize per image, then the query-blocked AM sweep over the
-  // whole batch — no dense intermediate per image, and every class row is
-  // streamed once per query block instead of once per query.
+  // whole batch — every class row is streamed once per query block instead
+  // of once per query.
   const auto queries = encoder_.encode_batch_packed(images, workers);
   return am_.packed().predict_batch(std::span<const PackedHv>(queries),
                                     workers);
-}
-
-std::vector<std::size_t> HdcClassifier::predict_batch_encoded(
-    std::span<const Hypervector> queries, std::size_t workers) const {
-  if (!trained()) {
-    throw std::logic_error(
-        "HdcClassifier::predict_batch_encoded: model not trained");
-  }
-  return am_.packed().predict_batch(queries, workers);
 }
 
 namespace {
@@ -182,7 +172,7 @@ std::size_t HdcClassifier::retrain(std::span<const data::Image> images,
     }
   }
   // Encode once into packed queries, then run the shared cached-query
-  // update; bit-identical to the historical dense pipeline.
+  // update.
   const auto queries = encoder_.encode_batch_packed(images, workers);
   return retrain_encoded(queries, labels, mode, workers);
 }

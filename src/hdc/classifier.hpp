@@ -67,8 +67,7 @@ class HdcClassifier {
   /// One-epoch one-shot training (paper III-B). May be called once; use
   /// retrain() for subsequent updates. Encoding runs through the parallel
   /// packed batch encoder over \p workers threads (chunked to bound
-  /// memory); the model is identical for any worker count and bit-identical
-  /// to dense per-example accumulation.
+  /// memory); the model is identical for any worker count.
   /// \throws std::invalid_argument on dataset/shape mismatch;
   ///         std::logic_error if already trained.
   void fit(const data::Dataset& train, std::size_t workers = 1);
@@ -81,7 +80,7 @@ class HdcClassifier {
                    std::span<const int> labels);
 
   /// Restores the full trained state — accumulators AND the packed
-  /// prototype snapshot — without any bipolarize or dense->packed rebuild.
+  /// prototype snapshot — without any bipolarize.
   /// Used by hdc::load_model, whose files store the packed words.
   /// \throws std::logic_error if already trained; std::invalid_argument on
   ///         any shape/similarity mismatch (see
@@ -91,7 +90,8 @@ class HdcClassifier {
 
   [[nodiscard]] bool trained() const noexcept { return am_.finalized(); }
 
-  /// Predicted class of an image. \throws std::logic_error if untrained.
+  /// Predicted class of an image: the packed encode ranked by the packed
+  /// associative memory. \throws std::logic_error if untrained.
   [[nodiscard]] std::size_t predict(const data::Image& image) const;
 
   /// Batched inference hot path: encodes every image and classifies through
@@ -103,10 +103,6 @@ class HdcClassifier {
   /// mismatch.
   [[nodiscard]] std::vector<std::size_t> predict_batch(
       std::span<const data::Image> images, std::size_t workers = 1) const;
-
-  /// Batched inference over already-encoded query HVs.
-  [[nodiscard]] std::vector<std::size_t> predict_batch_encoded(
-      std::span<const Hypervector> queries, std::size_t workers = 1) const;
 
   /// Similarity of an image to every class.
   [[nodiscard]] std::vector<double> similarities(const data::Image& image) const;
@@ -143,9 +139,8 @@ class HdcClassifier {
 
   /// retrain() from already-encoded packed queries: epoch-start predictions
   /// via the query-blocked packed sweep, lane updates applied in example
-  /// order from the packed words — the exact integer updates of the dense
-  /// path, so multi-epoch retraining can encode each image once and replay
-  /// the cache every epoch (~D/8 bytes per image).
+  /// order from the packed words, so multi-epoch retraining can encode each
+  /// image once and replay the cache every epoch (~D/8 bytes per image).
   /// \throws std::logic_error if untrained; std::invalid_argument on size
   /// mismatch or out-of-range labels.
   std::size_t retrain_encoded(std::span<const PackedHv> queries,

@@ -68,9 +68,10 @@ enum class CodebookMode {
 
 /// Hyper-parameters of one HDC image-classification model (paper section III).
 struct ModelConfig {
-  /// Hypervector dimensionality D. The paper's HDC literature uses ~10000;
-  /// experiments here default to 4096 which reaches the same accuracy band
-  /// on the synthetic digits while keeping bench runtimes short.
+  /// Dimensionality D of every hypervector. The paper's HDC literature uses
+  /// ~10000; experiments here default to 4096 which reaches the same
+  /// accuracy band on the synthetic digits while keeping bench runtimes
+  /// short.
   std::size_t dim = 4096;
 
   /// Master seed: item memories, tie-break vectors, and the AM derive all

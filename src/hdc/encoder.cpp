@@ -22,7 +22,7 @@ constexpr std::uint64_t kTieBreakTag = 0x03;
 /// True when \p config keeps no value-codebook mirror: rematerialization
 /// needs rows that are pure functions of their per-row seed, which only the
 /// i.i.d. random strategy provides (correlated strategies build rows
-/// sequentially, so their dense construction stays, even in remat mode).
+/// sequentially, so their stored codebook stays, even in remat mode).
 bool value_rows_remat(const ModelConfig& config) noexcept {
   return config.codebook == CodebookMode::kRemat &&
          config.value_strategy == ValueStrategy::kRandom;
@@ -118,53 +118,26 @@ PixelEncoder::PixelEncoder(const ModelConfig& config, std::size_t width,
     : config_((config.validate(), config)),  // validate before building memories
       width_(width),
       height_(height),
-      position_memory_([&]() -> std::optional<ItemMemory> {
-        if (config.codebook == CodebookMode::kRemat) return std::nullopt;
-        return ItemMemory(width * height, config.dim,
-                          position_codebook_seed(config),
-                          ValueStrategy::kRandom);
-      }()),
-      value_memory_([&]() -> std::optional<ItemMemory> {
-        if (value_rows_remat(config)) return std::nullopt;
-        return ItemMemory(config.value_levels, config.dim,
-                          value_codebook_seed(config), config.value_strategy);
-      }()),
-      tie_break_([&] {
-        util::Rng rng(tie_break_seed(config));
-        return Hypervector::random(config.dim, rng);
-      }()),
-      packed_positions_(position_memory_
-                            ? PackedItemMemory(*position_memory_)
-                            : PackedItemMemory::remat(
-                                  config.dim, width * height,
-                                  position_codebook_seed(config))),
+      packed_positions_(
+          config.codebook == CodebookMode::kRemat
+              ? PackedItemMemory::remat(config.dim, width * height,
+                                        position_codebook_seed(config))
+              : PackedItemMemory(width * height, config.dim,
+                                 position_codebook_seed(config))),
       packed_values_(value_rows_remat(config)
                          ? PackedItemMemory::remat(config.dim,
                                                    config.value_levels,
                                                    value_codebook_seed(config))
-                         : PackedItemMemory(*value_memory_)),
-      tie_break_packed_(PackedHv::from_dense(tie_break_)) {
+                         : PackedItemMemory(config.value_levels, config.dim,
+                                            value_codebook_seed(config),
+                                            config.value_strategy)),
+      tie_break_packed_([&] {
+        util::Rng rng(tie_break_seed(config));
+        return PackedHv::random(config.dim, rng);
+      }()) {
   if (width == 0 || height == 0) {
     throw std::invalid_argument("PixelEncoder: image dimensions must be non-zero");
   }
-}
-
-const ItemMemory& PixelEncoder::position_memory() const {
-  if (!position_memory_) {
-    throw std::logic_error(
-        "PixelEncoder::position_memory: no dense codebook in remat mode; "
-        "rows regenerate on demand (pixel_hv) or pin codebook = kStored");
-  }
-  return *position_memory_;
-}
-
-const ItemMemory& PixelEncoder::value_memory() const {
-  if (!value_memory_) {
-    throw std::logic_error(
-        "PixelEncoder::value_memory: no dense codebook in remat mode; "
-        "rows regenerate on demand (pixel_hv) or pin codebook = kStored");
-  }
-  return *value_memory_;
 }
 
 void PixelEncoder::check_shape(const data::Image& image) const {
@@ -211,31 +184,6 @@ HDTEST_HOT_PATH PackedHv encode_pixels_packed(const PackedItemMemory& positions,
   return PackedHv::from_words(dim, std::move(out));
 }
 
-Hypervector PixelEncoder::pixel_hv(std::size_t position,
-                                   std::uint8_t value) const {
-  const std::size_t value_idx = value_index(value);
-  if (position_memory_ && value_memory_) {
-    return bind(position_memory_->at(position), value_memory_->at(value_idx));
-  }
-  // Remat mode: regrow the dense rows from the same derived per-row streams
-  // the stored codebooks are built from — bit-identical by construction.
-  const auto remat_row = [this](const PackedItemMemory& packed,
-                                std::size_t index) {
-    if (index >= packed.count()) {
-      throw std::out_of_range("PixelEncoder::pixel_hv: index out of range");
-    }
-    util::Rng rng(util::derive_seed(packed.seed(), index));
-    return Hypervector::random(config_.dim, rng);
-  };
-  const Hypervector pos_hv = position_memory_
-                                 ? position_memory_->at(position)
-                                 : remat_row(packed_positions_, position);
-  const Hypervector val_hv = value_memory_
-                                 ? value_memory_->at(value_idx)
-                                 : remat_row(packed_values_, value_idx);
-  return bind(pos_hv, val_hv);
-}
-
 void PixelEncoder::encode_into(const data::Image& image,
                                Accumulator& acc) const {
   check_shape(image);
@@ -243,18 +191,13 @@ void PixelEncoder::encode_into(const data::Image& image,
     throw std::invalid_argument("PixelEncoder::encode_into: accumulator dim mismatch");
   }
   // The full encode's bank, drained into the int32 lanes once. Exact
-  // integer arithmetic: the same sums as per-element add_bound in any order.
+  // integer arithmetic: the same sums as per-element accumulation in any
+  // order.
   std::vector<std::uint64_t> slices;
   const BankShape shape = build_bank(packed_positions_, packed_values_,
                                      config_.value_levels, image.pixels(),
                                      slices);
   acc.add_biased_slices(slices, shape.levels, shape.bias);
-}
-
-Hypervector PixelEncoder::encode(const data::Image& image) const {
-  Accumulator acc(config_.dim);
-  encode_into(image, acc);
-  return acc.bipolarize(tie_break_);
 }
 
 HDTEST_HOT_PATH PackedHv PixelEncoder::encode_packed(
@@ -264,19 +207,11 @@ HDTEST_HOT_PATH PackedHv PixelEncoder::encode_packed(
                               config_.value_levels, tie_break_packed_, image);
 }
 
-std::vector<Hypervector> PixelEncoder::encode_batch(
-    std::span<const data::Image> images, std::size_t workers) const {
-  std::vector<Hypervector> out(images.size());
-  // Each worker writes only its own slot; encoding is a deterministic
-  // function of the image, so results are worker-count independent.
-  util::parallel_for(images.size(), workers,
-                     [&](std::size_t i) { out[i] = encode(images[i]); });
-  return out;
-}
-
 std::vector<PackedHv> PixelEncoder::encode_batch_packed(
     std::span<const data::Image> images, std::size_t workers) const {
   std::vector<PackedHv> out(images.size());
+  // Each worker writes only its own slot; encoding is a deterministic
+  // function of the image, so results are worker-count independent.
   util::parallel_for(images.size(), workers,
                      [&](std::size_t i) { out[i] = encode_packed(images[i]); });
   return out;
@@ -419,8 +354,8 @@ PackedHv IncrementalPixelEncoder::patch_slice_bank(const SliceBank& from,
   // constants fold into the sign threshold: lane < 0 <=> stored < T,
   // lane == 0 <=> stored == T, with T = bias + 2*pairs over the bank's
   // whole lineage. Eq. 1 then falls out of one bit-parallel MSB-down
-  // comparison per word (the slice_bipolarize kernel) — never a dense
-  // intermediate, never an O(D) int32 pass. Bit-exact with the full encode
+  // comparison per word (the slice_bipolarize kernel) — never an O(D)
+  // int32 pass. Bit-exact with the full encode
   // of the mutant under every kernel backend and codebook storage mode.
   const util::simd::Kernels& kernels = util::simd::kernels();
   const std::size_t n = encoder_->dim();

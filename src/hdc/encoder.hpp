@@ -8,34 +8,33 @@
 ///   3. bundle (sum) all pixel HVs and re-bipolarize with Eq. 1.
 ///
 /// PixelEncoder implements exactly that, running step 2+3 through a
-/// bit-sliced kernel: the position/value codebooks are mirrored into packed
-/// sign-bit words at construction (PackedItemMemory), each pixel HV is one
-/// XOR of packed words, and bundling is carry-save counting instead of D
-/// int8 multiply-adds — the dense-binary trick (Schmuck et al., JETC'19)
-/// applied to the encoding side. A Harley–Seal tree (the bundle_bound
+/// bit-sliced kernel: the position/value codebooks are packed sign-bit
+/// words (PackedItemMemory), each pixel HV is one XOR of packed words, and
+/// bundling is carry-save counting instead of D int8 multiply-adds — the
+/// dense-binary trick (Schmuck et al., JETC'19) applied to the encoding
+/// side. A Harley–Seal tree (the bundle_bound
 /// kernel) reduces 16 bound pixel vectors at a time in registers and adds
 /// them into one representation of the bundle, the biased bit-sliced lane
 /// bank (lane + B per lane). The packed encode signs that bank directly,
 /// the delta encoder patches it, and encode_into drains it into int32
-/// lanes. Results are bit-exact with per-element accumulation.
+/// lanes. Results are bit-exact with per-element accumulation (checked
+/// against the dense reference in tests/support/dense_oracle.hpp).
 ///
 /// IncrementalPixelEncoder exploits bundling's linearity to re-encode a
 /// mutated image in time proportional to the number of changed pixels — a
 /// large win for the fuzzer's sparse mutations (exactness is unit-tested).
 /// A mutant can be patched from its parent's SliceBank rather than from the
 /// original, so a lineage of 3-pixel mutations costs 3 patches per child.
-/// It only produces packed queries, which keeps every image fuzz loop
-/// dense-free end to end.
+/// It only produces packed queries.
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "data/image.hpp"
 #include "hdc/config.hpp"
-#include "hdc/hypervector.hpp"
+#include "hdc/accumulator.hpp"
 #include "hdc/item_memory.hpp"
 #include "hdc/packed_hv.hpp"
 #include "util/contracts.hpp"
@@ -71,8 +70,7 @@ namespace hdtest::hdc {
 /// behind PixelEncoder::encode_packed, and
 /// hdc::MappedModel calls it directly with codebook *views* over a mapped
 /// model file (or rematerializing codebooks when the file carries no
-/// mirrors) — the whole encode touches no dense Hypervector and no
-/// PackedHv::from_dense, regardless of codebook storage mode.
+/// mirrors).
 /// \throws std::invalid_argument when the image's pixel count mismatches
 /// \p positions or the codebook shapes disagree.
 HDTEST_HOT_PATH [[nodiscard]] PackedHv encode_pixels_packed(
@@ -84,11 +82,12 @@ HDTEST_HOT_PATH [[nodiscard]] PackedHv encode_pixels_packed(
 
 /// Encodes fixed-size grayscale images into hypervectors.
 ///
-/// Thread-safety: encode() is const and touches only immutable state, so a
-/// single PixelEncoder may be shared across fuzzing threads.
+/// Thread-safety: the encodes are const and touch only immutable state, so
+/// a single PixelEncoder may be shared across fuzzing threads.
 class PixelEncoder {
  public:
-  /// Builds position and value item memories for images of the given shape.
+  /// Builds the packed position and value codebooks for images of the given
+  /// shape (rows regenerate on demand instead in CodebookMode::kRemat).
   /// \throws std::invalid_argument for zero dimensions or a bad config.
   PixelEncoder(const ModelConfig& config, std::size_t width, std::size_t height);
 
@@ -97,13 +96,9 @@ class PixelEncoder {
   [[nodiscard]] std::size_t dim() const noexcept { return config_.dim; }
   [[nodiscard]] const ModelConfig& config() const noexcept { return config_; }
 
-  /// Encodes an image: bipolarize(sum_p posHV(p) (*) valueHV(img[p])).
+  /// Encodes an image: bipolarize(sum_p posHV(p) (*) valueHV(img[p])), the
+  /// biased bank signed in place, with no int32 lanes.
   /// \throws std::invalid_argument when the image shape mismatches.
-  [[nodiscard]] Hypervector encode(const data::Image& image) const;
-
-  /// Full encode returning a packed query HV directly — the biased bank
-  /// signed in place, no int32 lanes and no dense intermediate.
-  /// Bit-exact: encode_packed(img) == PackedHv::from_dense(encode(img)).
   HDTEST_HOT_PATH [[nodiscard]] PackedHv encode_packed(
       const data::Image& image) const;
 
@@ -111,36 +106,17 @@ class PixelEncoder {
   /// training, which bundles many images before a single bipolarize.
   void encode_into(const data::Image& image, Accumulator& acc) const;
 
-  /// Encodes a batch in parallel over \p workers threads (util::parallel_for;
-  /// each index is an independent deterministic function of its image, so
-  /// results are identical for any worker count).
-  [[nodiscard]] std::vector<Hypervector> encode_batch(
-      std::span<const data::Image> images, std::size_t workers = 1) const;
-
-  /// Packed batch encode: encode_packed per image, parallelized like
-  /// encode_batch. Produces the training/retraining query cache (~D/8 bytes
-  /// per image) with no dense intermediates.
+  /// Batch encode: encode_packed per image, in parallel over \p workers
+  /// threads (util::parallel_for; each index is an independent deterministic
+  /// function of its image, so results are identical for any worker count).
+  /// Produces the training/retraining query cache (~D/8 bytes per image).
   [[nodiscard]] std::vector<PackedHv> encode_batch_packed(
       std::span<const data::Image> images, std::size_t workers = 1) const;
 
-  /// The bound pixel HV for (flat position, value) — step 2 of the paper.
-  [[nodiscard]] Hypervector pixel_hv(std::size_t position, std::uint8_t value) const;
-
   /// The fixed tie-break HV used to resolve Eq. 1 zeros deterministically.
-  [[nodiscard]] const Hypervector& tie_break() const noexcept { return tie_break_; }
-
-  /// Packed mirror of tie_break() (same sign pattern, packed once).
   [[nodiscard]] const PackedHv& tie_break_packed() const noexcept {
     return tie_break_packed_;
   }
-
-  /// Dense position/value codebooks. Materialized in CodebookMode::kStored
-  /// (and, for the value memory, whenever the value strategy is correlated);
-  /// a rematerializing codebook keeps no dense mirror, so these throw
-  /// std::logic_error there — use pixel_hv(), which regenerates rows on
-  /// demand, or pin codebook = kStored when dense inspection is the point.
-  [[nodiscard]] const ItemMemory& position_memory() const;
-  [[nodiscard]] const ItemMemory& value_memory() const;
 
   /// Packed codebooks backing the bit-sliced kernels (built once here).
   [[nodiscard]] const PackedItemMemory& packed_position_memory() const noexcept {
@@ -160,13 +136,6 @@ class PixelEncoder {
   ModelConfig config_;
   std::size_t width_;
   std::size_t height_;
-  /// Dense codebooks: engaged in stored mode (both) and for correlated
-  /// value strategies (value only); disengaged rows regenerate from the
-  /// seed on demand. Optional rather than lazy so the encoder keeps plain
-  /// copy/move value semantics.
-  std::optional<ItemMemory> position_memory_;
-  std::optional<ItemMemory> value_memory_;
-  Hypervector tie_break_;
   PackedItemMemory packed_positions_;
   PackedItemMemory packed_values_;
   PackedHv tie_break_packed_;
@@ -203,8 +172,8 @@ class SliceBank {
 /// encode (or adopts one); encode_mutant_packed() re-encodes any same-shape
 /// image in O(changed_pixels * D) bit operations instead of O(W*H*D), and
 /// encode_child_packed() does the same relative to a parent's SliceBank.
-/// Produces *exactly* the packed query of PixelEncoder::encode (asserted
-/// against the dense full encode by tests/encoder_test).
+/// Produces *exactly* the packed query of PixelEncoder::encode_packed
+/// (asserted against the dense reference by tests/hdc/encoder_test).
 class IncrementalPixelEncoder {
  public:
   /// \param encoder must outlive this object.
@@ -230,10 +199,10 @@ class IncrementalPixelEncoder {
   [[nodiscard]] bool has_base() const noexcept { return !base_.empty(); }
 
   /// Encodes \p mutant relative to the current base: the delta patch
-  /// through the packed codebooks followed by the fused Eq. 1 + pack. Never
-  /// touches a dense Hypervector — the fuzzer's steady-state query path.
+  /// through the packed codebooks followed by the fused Eq. 1 + pack — the
+  /// fuzzer's steady-state query path.
   /// Same as encode_child_packed with the base as parent and the root bank.
-  /// Bit-exact: == PackedHv::from_dense(encoder.encode(mutant)).
+  /// Bit-exact: == encoder.encode_packed(mutant).
   /// \throws std::logic_error without a base; std::invalid_argument on shape
   /// mismatch.
   HDTEST_HOT_PATH [[nodiscard]] PackedHv encode_mutant_packed(

@@ -1,14 +1,14 @@
 #pragma once
 /// \file instrument.hpp
-/// Process-wide encode-pipeline counters backing the dense-free guarantees.
+/// Process-wide encode-pipeline counters backing the fuzz loop's hot-path
+/// guarantees.
 ///
-/// The fuzzer's steady-state generation loop is required to stay entirely in
-/// packed sign-bit space: zero dense Hypervector materializations and zero
-/// PackedHv::from_dense re-packs per mutant. These relaxed atomic counters
-/// are bumped at the only places a dense vector can enter existence
-/// (Hypervector's storage constructors) or be re-packed (from_dense), so the
-/// property is asserted by tests/fuzz/dense_free_test instead of trusted to
-/// call-site review. Cost: one relaxed increment per O(D) construction,
+/// The fuzzer's steady-state generation loop must not re-walk a class row
+/// per mutant, and a stored-codebook process must never regenerate a
+/// codebook row. These relaxed atomic counters are bumped at the only places
+/// those events happen, so the properties are asserted by
+/// tests/fuzz/dense_free_test and tests/hdc/mapped_model_test instead of
+/// trusted to call-site review. Cost: one relaxed increment per O(D) event,
 /// invisible next to the element work it guards.
 
 #include <atomic>
@@ -17,30 +17,22 @@
 namespace hdtest::hdc::instrument {
 
 struct EncodeCounters {
-  /// Fresh dense Hypervector constructions (from raw storage; copies and
-  /// moves of existing HVs are not counted).
-  std::atomic<std::uint64_t> dense_hv_materializations{0};
-  /// PackedHv::from_dense conversions.
-  std::atomic<std::uint64_t> packed_from_dense{0};
   /// Standalone PackedAssocMemory::similarity_to row walks. The blocked AM
   /// sweep returns the reference-class score together with the argmax, so
   /// the fuzzer's steady state must not re-walk a class row per mutant
   /// (one walk per fuzz_one — the parent seed's fitness — is expected).
   std::atomic<std::uint64_t> am_row_walks{0};
-  /// Dense-prototype -> packed PackedAssocMemory rebuilds (the from_dense
-  /// packing constructor). Model files store the packed words, so loading
-  /// one must perform zero rebuilds (asserted by the serialize tests);
-  /// finalize() after training/retraining still rebuilds.
+  /// Packed class-HV rebuilds (AssociativeMemory::finalize bipolarizing the
+  /// class sums). Model files store the packed words, so loading one must
+  /// perform zero rebuilds (asserted by the serialize tests); finalize()
+  /// after training/retraining still rebuilds.
   std::atomic<std::uint64_t> packed_am_rebuilds{0};
-  /// ItemMemory codebook generations (the seeded random construction: one
-  /// per position/value/symbol memory built). A serving process on the
-  /// mmap'd v3 path must never regenerate a codebook from the seed —
-  /// MappedModel construction performs zero of these (asserted by
-  /// tests/hdc/mapped_model_test); the stream loaders still regenerate.
-  std::atomic<std::uint64_t> item_memory_generations{0};
-  /// PackedItemMemory dense->packed codebook mirror builds. The v3 file
-  /// stores the packed mirrors verbatim, so the mapped path performs zero
-  /// of these too (same test); PixelEncoder construction performs two.
+  /// Stored PackedItemMemory codebook generations from a seed (one per
+  /// position/value memory built). A serving process on the mmap'd v3 path
+  /// must never regenerate a codebook — MappedModel construction performs
+  /// zero of these (asserted by tests/hdc/mapped_model_test); the stream
+  /// loaders still regenerate, and stored-mode PixelEncoder construction
+  /// performs two.
   std::atomic<std::uint64_t> packed_codebook_builds{0};
   /// On-the-fly codebook row regenerations (PackedItemMemory remat mode:
   /// one per row materialized into caller scratch). Stored-mirror mode must
@@ -54,24 +46,12 @@ struct EncodeCounters {
   return instance;
 }
 
-inline void note_dense_hv() noexcept {
-  counters().dense_hv_materializations.fetch_add(1, std::memory_order_relaxed);
-}
-
-inline void note_from_dense() noexcept {
-  counters().packed_from_dense.fetch_add(1, std::memory_order_relaxed);
-}
-
 inline void note_am_row_walk() noexcept {
   counters().am_row_walks.fetch_add(1, std::memory_order_relaxed);
 }
 
 inline void note_packed_am_rebuild() noexcept {
   counters().packed_am_rebuilds.fetch_add(1, std::memory_order_relaxed);
-}
-
-inline void note_item_memory_generation() noexcept {
-  counters().item_memory_generations.fetch_add(1, std::memory_order_relaxed);
 }
 
 inline void note_packed_codebook_build() noexcept {
@@ -83,24 +63,12 @@ inline void note_codebook_row_rematerialization() noexcept {
       1, std::memory_order_relaxed);
 }
 
-[[nodiscard]] inline std::uint64_t dense_hv_materializations() noexcept {
-  return counters().dense_hv_materializations.load(std::memory_order_relaxed);
-}
-
-[[nodiscard]] inline std::uint64_t packed_from_dense() noexcept {
-  return counters().packed_from_dense.load(std::memory_order_relaxed);
-}
-
 [[nodiscard]] inline std::uint64_t am_row_walks() noexcept {
   return counters().am_row_walks.load(std::memory_order_relaxed);
 }
 
 [[nodiscard]] inline std::uint64_t packed_am_rebuilds() noexcept {
   return counters().packed_am_rebuilds.load(std::memory_order_relaxed);
-}
-
-[[nodiscard]] inline std::uint64_t item_memory_generations() noexcept {
-  return counters().item_memory_generations.load(std::memory_order_relaxed);
 }
 
 [[nodiscard]] inline std::uint64_t packed_codebook_builds() noexcept {
@@ -114,11 +82,8 @@ inline void note_codebook_row_rematerialization() noexcept {
 
 /// Zeroes all counters (tests snapshot around the region under scrutiny).
 inline void reset() noexcept {
-  counters().dense_hv_materializations.store(0, std::memory_order_relaxed);
-  counters().packed_from_dense.store(0, std::memory_order_relaxed);
   counters().am_row_walks.store(0, std::memory_order_relaxed);
   counters().packed_am_rebuilds.store(0, std::memory_order_relaxed);
-  counters().item_memory_generations.store(0, std::memory_order_relaxed);
   counters().packed_codebook_builds.store(0, std::memory_order_relaxed);
   counters().codebook_row_rematerializations.store(0,
                                                    std::memory_order_relaxed);

@@ -5,28 +5,30 @@
 #include <utility>
 
 #include "hdc/instrument.hpp"
-#include "hdc/packed_hv.hpp"
 #include "util/bitops.hpp"
 #include "util/checksum.hpp"
 
 namespace hdtest::hdc {
 
-ItemMemory::ItemMemory(std::size_t count, std::size_t dim, std::uint64_t seed,
-                       ValueStrategy strategy)
-    : dim_(dim), strategy_(strategy) {
+PackedItemMemory::PackedItemMemory(std::size_t count, std::size_t dim,
+                                   std::uint64_t seed, ValueStrategy strategy)
+    : dim_(dim), count_(count), stride_(util::words_for_bits(dim)) {
   if (count == 0) {
-    throw std::invalid_argument("ItemMemory: count must be non-zero");
+    throw std::invalid_argument("PackedItemMemory: count must be non-zero");
   }
   if (dim == 0) {
-    throw std::invalid_argument("ItemMemory: dim must be non-zero");
+    throw std::invalid_argument("PackedItemMemory: dim must be non-zero");
   }
-  instrument::note_item_memory_generation();
-  entries_.reserve(count);
+  storage_.assign(count * stride_, 0);
+  data_ = storage_.data();
+  const auto row = [this](std::size_t i) {
+    return std::span(storage_).subspan(i * stride_, stride_);
+  };
   switch (strategy) {
     case ValueStrategy::kRandom:
       for (std::size_t i = 0; i < count; ++i) {
         util::Rng rng(util::derive_seed(seed, i));
-        entries_.push_back(Hypervector::random(dim, rng));
+        PackedHv::fill_random(dim, rng, row(i));
       }
       break;
     case ValueStrategy::kLevel: {
@@ -35,60 +37,41 @@ ItemMemory::ItemMemory(std::size_t count, std::size_t dim, std::uint64_t seed,
       // count-1 differ in ~dim/2 positions (near-orthogonal endpoints) and
       // similarity decays linearly with level distance.
       util::Rng rng(util::derive_seed(seed, 0));
-      Hypervector current = Hypervector::random(dim, rng);
-      entries_.push_back(current);
+      PackedHv::fill_random(dim, rng, row(0));
       if (count > 1) {
         // Random permutation of positions; each step flips the next batch.
-        auto order = rng.sample_indices(dim, dim);
+        const auto order = rng.sample_indices(dim, dim);
         const std::size_t total_flips = dim / 2;
         std::size_t flipped = 0;
         for (std::size_t level = 1; level < count; ++level) {
-          const std::size_t target =
-              total_flips * level / (count - 1);
-          while (flipped < target && flipped < order.size()) {
-            current.flip(order[flipped]);
-            ++flipped;
+          const auto current = row(level);
+          std::copy_n(row(level - 1).begin(), stride_, current.begin());
+          const std::size_t target = total_flips * level / (count - 1);
+          for (; flipped < target; ++flipped) {
+            current[order[flipped] / 64] ^= 1ULL << (order[flipped] % 64);
           }
-          entries_.push_back(current);
         }
       }
       break;
     }
     case ValueStrategy::kThermometer: {
       // Thermometer code over a fixed random permutation: level i is +1 on
-      // the first floor(dim * i / (count-1)) permuted positions.
+      // the first floor(dim * i / (count-1)) permuted positions and -1
+      // (bit set) elsewhere.
       util::Rng rng(util::derive_seed(seed, 0));
-      auto order = rng.sample_indices(dim, dim);
+      const auto order = rng.sample_indices(dim, dim);
       for (std::size_t level = 0; level < count; ++level) {
-        std::vector<std::int8_t> raw(dim, -1);
-        const std::size_t ones =
-            count > 1 ? dim * level / (count - 1) : dim;
-        for (std::size_t i = 0; i < ones; ++i) raw[order[i]] = 1;
-        entries_.push_back(Hypervector::from_raw(std::move(raw)));
+        const auto words = row(level);
+        std::fill(words.begin(), words.end(), ~0ULL);
+        words.back() &= util::tail_mask(dim);
+        const std::size_t ones = count > 1 ? dim * level / (count - 1) : dim;
+        for (std::size_t i = 0; i < ones; ++i) {
+          util::set_bit(words, order[i], false);
+        }
       }
       break;
     }
   }
-}
-
-const Hypervector& ItemMemory::at(std::size_t index) const {
-  if (index >= entries_.size()) {
-    throw std::out_of_range("ItemMemory::at: index out of range");
-  }
-  return entries_[index];
-}
-
-PackedItemMemory::PackedItemMemory(const ItemMemory& source)
-    : dim_(source.dim()),
-      count_(source.count()),
-      stride_(util::words_for_bits(source.dim())) {
-  storage_.assign(count_ * stride_, 0);
-  for (std::size_t i = 0; i < count_; ++i) {
-    const auto packed = PackedHv::from_dense(source[i]);
-    const auto src = packed.words();
-    std::copy(src.begin(), src.end(), storage_.begin() + i * stride_);
-  }
-  data_ = storage_.data();
   instrument::note_packed_codebook_build();
 }
 
@@ -197,15 +180,10 @@ std::span<const std::uint64_t> PackedItemMemory::at(std::size_t index) const {
 
 HDTEST_HOT_PATH void PackedItemMemory::materialize_row(
     std::size_t index, std::span<std::uint64_t> out) const noexcept {
-  // Bit-exact with PackedHv::from_dense(Hypervector::random(dim, rng)) for
-  // rng = Rng(derive_seed(seed, index)): random() maps rng bit 1 -> +1 and
-  // bit 0 -> -1 consuming one u64 per 64 lanes, from_dense packs bit 1 for
-  // element -1 — so each packed word is the complement of one rng draw,
-  // with padding past dim cleared like every stored mirror row.
+  // The stored kRandom builder's row: the same generator on the same
+  // per-row stream.
   util::Rng rng(util::derive_seed(seed_, index));
-  const std::size_t last = stride_ - 1;
-  for (std::size_t w = 0; w < last; ++w) out[w] = ~rng.next_u64();
-  out[last] = ~rng.next_u64() & util::tail_mask(dim_);
+  PackedHv::fill_random(dim_, rng, out.first(stride_));
   instrument::note_codebook_row_rematerialization();
 }
 

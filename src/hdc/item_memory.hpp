@@ -2,12 +2,12 @@
 /// \file item_memory.hpp
 /// Item memories: the fixed random codebooks of HDC (paper section III-A).
 ///
-/// An item memory maps a discrete symbol (a pixel position, a gray level, a
-/// character) to a fixed pseudo-random hypervector. The paper's image model
-/// uses two: the *position memory* (one HV per pixel index, always i.i.d.
-/// random) and the *value memory* (one HV per gray level; the paper draws
-/// these i.i.d. random as well — ValueStrategy::kRandom — with correlated
-/// alternatives provided for ablation).
+/// An item memory maps a discrete symbol (a pixel position, a gray level) to
+/// a fixed pseudo-random hypervector. The paper's image model uses two: the
+/// *position memory* (one HV per pixel index, always i.i.d. random) and the
+/// *value memory* (one HV per gray level; the paper draws these i.i.d.
+/// random as well — ValueStrategy::kRandom — with correlated alternatives
+/// provided for ablation). Rows are built straight into sign-bit words.
 
 #include <cstddef>
 #include <cstdint>
@@ -15,52 +15,20 @@
 #include <vector>
 
 #include "hdc/config.hpp"
-#include "hdc/hypervector.hpp"
+#include "hdc/packed_hv.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace hdtest::hdc {
 
-/// A fixed codebook of \c count hypervectors of dimension \c dim, generated
-/// deterministically from a seed at construction.
-class ItemMemory {
- public:
-  /// Generates the codebook.
-  /// \param count   number of entries (e.g. 784 positions or 256 levels)
-  /// \param dim     hypervector dimensionality
-  /// \param seed    generation seed (item i derives from child stream i)
-  /// \param strategy how entries relate to one another (see ValueStrategy)
-  /// \throws std::invalid_argument for zero count/dim.
-  ItemMemory(std::size_t count, std::size_t dim, std::uint64_t seed,
-             ValueStrategy strategy = ValueStrategy::kRandom);
-
-  [[nodiscard]] std::size_t count() const noexcept { return entries_.size(); }
-  [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
-  [[nodiscard]] ValueStrategy strategy() const noexcept { return strategy_; }
-
-  /// Entry accessor. \throws std::out_of_range.
-  [[nodiscard]] const Hypervector& at(std::size_t index) const;
-
-  /// Unchecked entry accessor (hot path).
-  [[nodiscard]] const Hypervector& operator[](std::size_t index) const noexcept {
-    return entries_[index];
-  }
-
- private:
-  std::size_t dim_;
-  ValueStrategy strategy_;
-  std::vector<Hypervector> entries_;
-};
-
-/// Bit-packed mirror of an ItemMemory.
+/// A codebook of \c count sign-bit-packed hypervectors of dimension \c dim
+/// (bit = 1 encodes -1), generated deterministically from a seed.
 ///
-/// Every codebook entry is packed once into sign-bit words (bit = 1 encodes
-/// -1) and stored contiguously (count x words_per_entry, row-major), so the
-/// bit-sliced encode kernel streams cache-friendly XOR words instead of
-/// dense int8 reads. Entry i here packs exactly entry i of the source
-/// memory; built once per PixelEncoder and immutable afterwards.
+/// Rows are stored contiguously (count x words_per_entry, row-major), so the
+/// bit-sliced encode kernel streams cache-friendly XOR words. Built once per
+/// PixelEncoder and immutable afterwards.
 ///
-/// Storage is either *owning* (the packing constructor), a *view* over
+/// Storage is either *owning* (the generating constructor), a *view* over
 /// externally owned words (view(): serialize format v3 maps a model file
 /// read-only and serves the stored codebook mirrors in place — zero copies,
 /// zero regeneration from the seed), or *rematerializing* (remat(): no words
@@ -81,8 +49,15 @@ class PackedItemMemory {
   /// Empty memory (count() == 0).
   PackedItemMemory() = default;
 
-  /// Packs every entry of \p source (owning storage).
-  explicit PackedItemMemory(const ItemMemory& source);
+  /// Generates the codebook into owning storage.
+  /// \param count    number of entries (e.g. 784 positions or 256 levels)
+  /// \param dim      hypervector dimensionality
+  /// \param seed     generation seed (a kRandom row i derives from child
+  ///                 stream i; correlated rows from child stream 0)
+  /// \param strategy how entries relate to one another (see ValueStrategy)
+  /// \throws std::invalid_argument for zero count/dim.
+  PackedItemMemory(std::size_t count, std::size_t dim, std::uint64_t seed,
+                   ValueStrategy strategy = ValueStrategy::kRandom);
 
   PackedItemMemory(const PackedItemMemory& other);
   PackedItemMemory& operator=(const PackedItemMemory& other);
@@ -99,10 +74,10 @@ class PackedItemMemory {
       std::size_t dim, std::size_t count, std::span<const std::uint64_t> words);
 
   /// Rematerializing memory: holds no words — row \p i regenerates on demand
-  /// from util::derive_seed(seed, i), bit-identical to packing
-  /// Hypervector::random(dim, Rng(derive_seed(seed, i))) (one ~rng word per
-  /// 64 lanes, tail masked). Only meaningful for ValueStrategy::kRandom
-  /// codebooks; correlated strategies are not per-row pure functions.
+  /// as PackedHv::random(dim, Rng(derive_seed(seed, i))), bit-identical to
+  /// row i of the stored kRandom codebook of the same seed. Only meaningful
+  /// for ValueStrategy::kRandom codebooks; correlated strategies are not
+  /// per-row pure functions.
   /// \throws std::invalid_argument on zero dim/count.
   [[nodiscard]] static PackedItemMemory remat(std::size_t dim,
                                               std::size_t count,

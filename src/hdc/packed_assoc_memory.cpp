@@ -11,32 +11,6 @@
 
 namespace hdtest::hdc {
 
-PackedAssocMemory::PackedAssocMemory(std::span<const Hypervector> class_hvs,
-                                     Similarity similarity)
-    : similarity_(similarity) {
-  if (class_hvs.empty()) {
-    throw std::invalid_argument("PackedAssocMemory: need at least one class");
-  }
-  dim_ = class_hvs.front().dim();
-  if (dim_ == 0) {
-    throw std::invalid_argument("PackedAssocMemory: dim must be non-zero");
-  }
-  num_classes_ = class_hvs.size();
-  stride_ = util::words_for_bits(dim_);
-  storage_.assign(num_classes_ * stride_, 0);
-  for (std::size_t c = 0; c < num_classes_; ++c) {
-    if (class_hvs[c].dim() != dim_) {
-      throw std::invalid_argument(
-          "PackedAssocMemory: class prototypes disagree on dimension");
-    }
-    const auto packed = PackedHv::from_dense(class_hvs[c]);
-    const auto src = packed.words();
-    std::copy(src.begin(), src.end(), storage_.begin() + c * stride_);
-  }
-  data_ = storage_.data();
-  instrument::note_packed_am_rebuild();
-}
-
 void PackedAssocMemory::check_words(std::size_t dim, std::size_t num_classes,
                                     std::span<const std::uint64_t> words) {
   if (dim == 0) {
@@ -151,7 +125,7 @@ std::size_t PackedAssocMemory::predict(const PackedHv& query) const {
   // One count=1 sweep submission: the class-row loop and the backend's
   // popcount run fused inside the am_sweep kernel (one indirect call
   // per query instead of one per class row). The sweep's strict < keeps the
-  // lowest class index on ties, matching the dense argmax
+  // lowest class index on ties, matching an argmax over similarities()
   // (sims[c] > sims[best]) exactly: dot = D - 2*ham is a strictly
   // decreasing function of ham under both metrics.
   const std::uint64_t* q = query.words().data();
@@ -205,22 +179,6 @@ double PackedAssocMemory::similarity_to(std::size_t cls,
     return (d - 2.0 * static_cast<double>(ham)) / d;
   }
   return 1.0 - static_cast<double>(ham) / d;
-}
-
-std::vector<std::size_t> PackedAssocMemory::predict_batch(
-    std::span<const Hypervector> queries, std::size_t workers) const {
-  if (empty()) {
-    throw std::logic_error("PackedAssocMemory: no class prototypes loaded");
-  }
-  // Fused pack + rank per query: the freshly packed query is ranked while
-  // still cache-hot (a pack-all-then-sweep split measurably loses the
-  // locality on the portable backend). Already-packed callers get the
-  // blocked sweep via the PackedHv overload.
-  std::vector<std::size_t> out(queries.size());
-  util::parallel_for(queries.size(), workers, [&](std::size_t i) {
-    out[i] = predict(PackedHv::from_dense(queries[i]));
-  });
-  return out;
 }
 
 std::vector<std::size_t> PackedAssocMemory::predict_batch(

@@ -10,11 +10,11 @@
 /// storing the prototypes contiguously keeps the whole memory in a few cache
 /// lines for the 10-class models the paper studies.
 ///
-/// Ranking is bit-exact with the dense path: for bipolar HVs
+/// Ranking is exact: for bipolar HVs
 ///   dot(a, b) = D - 2 * hamming(pack(a), pack(b)),
 /// so argmax cosine == argmin Hamming, under either similarity metric, with
-/// the same lowest-index tie-break as AssociativeMemory::predict. Tests
-/// assert exact agreement across dimensions and worker counts.
+/// the lowest class index winning ties. Tests assert exact agreement with a
+/// dense int8 reference across dimensions and worker counts.
 
 #include <cstddef>
 #include <cstdint>
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "hdc/config.hpp"
-#include "hdc/hypervector.hpp"
 #include "hdc/packed_hv.hpp"
 #include "util/contracts.hpp"
 
@@ -42,10 +41,10 @@ struct BlockSweepResult {
 /// Thread-safety: all member functions are const and touch only immutable
 /// state, so one instance may serve queries from many threads.
 ///
-/// Storage is either *owning* (the packing and rehydrating constructors) or
-/// a non-owning *view* over externally stored rows (view(): serialize
-/// format v3 maps a model file read-only and sweeps the stored rows in
-/// place — zero copies, zero dense->packed rebuilds). A view, and every
+/// Storage is either *owning* (the rehydrating constructor) or a
+/// non-owning *view* over externally stored rows (view(): serialize format
+/// v3 maps a model file read-only and sweeps the stored rows in place —
+/// zero copies, zero rebuilds). A view, and every
 /// copy of it, borrows the external words: it must not outlive them (for v3
 /// that means the hdc::MappedModel's mapping). Copying an owning memory
 /// deep-copies.
@@ -54,14 +53,9 @@ class PackedAssocMemory {
   /// Empty memory (num_classes() == 0); predict() throws until rebuilt.
   PackedAssocMemory() = default;
 
-  /// Packs the given class prototypes. All prototypes must share one non-zero
-  /// dimension. \throws std::invalid_argument otherwise.
-  PackedAssocMemory(std::span<const Hypervector> class_hvs,
-                    Similarity similarity);
-
-  /// Rehydrates from already-packed prototype words (serialize.cpp's stream
-  /// load path: a stored model restores its packed snapshot verbatim,
-  /// no dense bipolarize/re-pack). \p words holds num_classes rows of
+  /// Takes already-packed prototype words (AssociativeMemory::finalize, and
+  /// serialize.cpp's stream load path, which restores a stored model's
+  /// packed snapshot verbatim). \p words holds num_classes rows of
   /// words_for_bits(dim) words each, row-major — exactly what a loop over
   /// class_words() of the saved instance concatenates.
   /// \throws std::invalid_argument on zero dim/classes, a word count other
@@ -103,42 +97,27 @@ class PackedAssocMemory {
   /// Packed words of one class prototype.
   [[nodiscard]] std::span<const std::uint64_t> class_words(std::size_t cls) const;
 
-  /// Argmax class for a packed query (lowest index wins ties, matching
-  /// AssociativeMemory::predict exactly).
+  /// Argmax class for a packed query (lowest index wins ties).
   /// \throws std::logic_error when empty; std::invalid_argument on dim
   /// mismatch.
   [[nodiscard]] std::size_t predict(const PackedHv& query) const;
 
-  /// Convenience: packs a dense query and predicts.
-  [[nodiscard]] std::size_t predict(const Hypervector& query) const {
-    return predict(PackedHv::from_dense(query));
-  }
-
   /// Hamming distance of the query to every class prototype.
   [[nodiscard]] std::vector<std::size_t> hammings(const PackedHv& query) const;
 
-  /// Similarity of the query to every class — same values as
-  /// AssociativeMemory::similarities (cosine = dot/D; Hamming = 1 - ham/D).
+  /// Similarity of the query to every class (cosine = dot/D; Hamming =
+  /// 1 - ham/D).
   [[nodiscard]] std::vector<double> similarities(const PackedHv& query) const;
 
   /// Similarity of a packed query to one class — identical doubles to
-  /// AssociativeMemory::similarity_to on the dense query (packed dot equals
-  /// dense dot exactly). The fuzzer's fitness ingredient.
+  /// similarities()[cls]. The fuzzer's fitness ingredient.
   /// \throws std::logic_error when empty; std::invalid_argument /
   /// std::out_of_range on dim or class mismatch.
   [[nodiscard]] double similarity_to(std::size_t cls, const PackedHv& query) const;
 
-  /// Batched argmax over many dense queries: fused per-query pack + rank
-  /// (parallelized over \p workers threads with util::parallel_for), so the
-  /// freshly packed query is classified while cache-hot — measurably better
-  /// than pack-all-then-sweep on the portable backend. Results are
-  /// identical for any worker count and bit-exact with per-query predict().
-  /// Already-packed callers should use the PackedHv overload (query-blocked
-  /// sweep).
-  [[nodiscard]] std::vector<std::size_t> predict_batch(
-      std::span<const Hypervector> queries, std::size_t workers = 1) const;
-
-  /// Batched argmax over already-packed queries (query-blocked sweep).
+  /// Batched argmax (query-blocked sweep over \p workers threads). Results
+  /// are identical for any worker count and bit-exact with per-query
+  /// predict().
   [[nodiscard]] std::vector<std::size_t> predict_batch(
       std::span<const PackedHv> queries, std::size_t workers = 1) const;
 

@@ -1,10 +1,7 @@
 #include "hdc/packed_hv.hpp"
 
-#include <bit>
-#include <cstring>
 #include <stdexcept>
-
-#include "hdc/instrument.hpp"
+#include <string>
 
 namespace hdtest::hdc {
 
@@ -14,21 +11,6 @@ void check_same_dim(std::size_t a, std::size_t b, const char* who) {
   if (a != b) {
     throw std::invalid_argument(std::string(who) + ": dimension mismatch");
   }
-}
-
-/// Gathers the sign bits of 8 consecutive int8 elements into the low byte.
-///
-/// A bipolar element is -1 exactly when its sign bit is set, so packing is a
-/// movemask: isolate the sign bits (one per byte), then the multiply by the
-/// main-diagonal constant shifts bit 8k to bit 56+k without carries and the
-/// final shift drops them into the low byte. ~4 scalar ops per 8 elements —
-/// this keeps query packing far cheaper than one dense class dot product,
-/// which is what makes the packed batch path a net win per query.
-inline std::uint64_t gather_sign_bits(const std::int8_t* elems) noexcept {
-  std::uint64_t bytes;
-  std::memcpy(&bytes, elems, sizeof(bytes));
-  const std::uint64_t signs = (bytes >> 7) & 0x0101010101010101ULL;
-  return (signs * 0x0102040810204080ULL) >> 56;
 }
 
 }  // namespace
@@ -42,31 +24,7 @@ PackedHv::PackedHv(std::size_t dim)
 
 PackedHv PackedHv::random(std::size_t dim, util::Rng& rng) {
   PackedHv v(dim);
-  for (auto& word : v.words_) word = rng.next_u64();
-  v.words_.back() &= util::tail_mask(dim);
-  return v;
-}
-
-PackedHv PackedHv::from_dense(const Hypervector& dense) {
-  instrument::note_from_dense();
-  PackedHv v(dense.dim());
-  const auto elems = dense.elements();
-  std::size_t i = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    for (std::size_t w = 0; w + 64 <= elems.size(); w += 64) {
-      std::uint64_t word = 0;
-      for (std::size_t j = 0; j < 64; j += 8) {
-        word |= gather_sign_bits(elems.data() + w + j) << j;
-      }
-      v.words_[w / 64] = word;
-    }
-    i = (elems.size() / 64) * 64;
-  }
-  for (; i < elems.size(); ++i) {
-    if (elems[i] < 0) {
-      util::set_bit(v.words_, i, true);
-    }
-  }
+  fill_random(dim, rng, v.words_);
   return v;
 }
 
@@ -85,15 +43,6 @@ PackedHv PackedHv::from_words(std::size_t dim,
   v.dim_ = dim;
   v.words_ = std::move(words);
   return v;
-}
-
-Hypervector PackedHv::to_dense() const {
-  std::vector<std::int8_t> raw(dim_);
-  for (std::size_t i = 0; i < dim_; ++i) {
-    raw[i] = util::get_bit(words_, i) ? static_cast<std::int8_t>(-1)
-                                      : static_cast<std::int8_t>(1);
-  }
-  return Hypervector::from_raw(std::move(raw));
 }
 
 std::int8_t PackedHv::get(std::size_t i) const {

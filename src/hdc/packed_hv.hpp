@@ -8,18 +8,17 @@
 ///
 ///   dot(a, b) = D - 2 * popcount(pack(a) ^ pack(b))
 ///
-/// This is the dense-binary-HDC rematerialization trick (Schmuck et al.,
-/// JETC'19) referenced in the paper's related work. The packed backend is an
-/// internal accelerator: tests assert bit-exact agreement with the dense
-/// int8 implementation, and perfbench/run.py --trace 1 reports the
-/// per-stage costs of the packed hot paths.
+/// This is the dense-binary rematerialization trick (Schmuck et al.,
+/// JETC'19) referenced in the paper's related work, and the only
+/// hypervector representation the library has: encoding, training and
+/// classification all run on packed words. The tests check them against a
+/// dense int8 reference kept under tests/support/.
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "hdc/hypervector.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
 
@@ -34,15 +33,28 @@ class PackedHv {
   /// \throws std::invalid_argument when dim is zero.
   explicit PackedHv(std::size_t dim);
 
-  /// Generates an i.i.d. random packed HV (same distribution as
-  /// Hypervector::random but not the same sequence — packing order differs).
+  /// Generates an i.i.d. random packed HV: one rng draw per 64 elements,
+  /// complemented (a set draw bit is element +1), tail bits cleared — the
+  /// generator of every codebook row and tie-break (see
+  /// PackedItemMemory::materialize_row).
   [[nodiscard]] static PackedHv random(std::size_t dim, util::Rng& rng);
 
-  /// Packs a dense bipolar HV.
-  [[nodiscard]] static PackedHv from_dense(const Hypervector& v);
+  /// Writes random()'s words for \p rng into \p out
+  /// (util::words_for_bits(dim) words). Inline: remat encodes call it per
+  /// codebook row.
+  static void fill_random(std::size_t dim, util::Rng& rng,
+                          std::span<std::uint64_t> out) noexcept {
+    // A local copy keeps the generator state in registers; the output
+    // words could otherwise alias it.
+    util::Rng local = rng;
+    const std::size_t last = out.size() - 1;
+    for (std::size_t w = 0; w < last; ++w) out[w] = ~local.next_u64();
+    out[last] = ~local.next_u64() & util::tail_mask(dim);
+    rng = local;
+  }
 
   /// Wraps already-packed sign-bit words (kernel hook for the fused
-  /// bipolarize and the bit-sliced encoder — no dense intermediate).
+  /// bipolarize and the bit-sliced encoder).
   /// \throws std::invalid_argument for zero dim, a word count other than
   /// words_for_bits(dim), or non-zero bits past dim in the last word.
   [[nodiscard]] static PackedHv from_words(std::size_t dim,
@@ -54,9 +66,6 @@ class PackedHv {
                                            std::span<const std::uint64_t> words) {
     return from_words(dim, std::vector<std::uint64_t>(words.begin(), words.end()));
   }
-
-  /// Unpacks into a dense bipolar HV.
-  [[nodiscard]] Hypervector to_dense() const;
 
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
   [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
@@ -77,7 +86,7 @@ class PackedHv {
   std::vector<std::uint64_t> words_;
 };
 
-/// XOR-bind: exact packed counterpart of dense bind. \pre equal dims.
+/// XOR-bind: the element-wise product of two bipolar HVs. \pre equal dims.
 [[nodiscard]] PackedHv bind(const PackedHv& a, const PackedHv& b);
 
 /// Integer dot product via popcount. \pre equal dims.

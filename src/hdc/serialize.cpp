@@ -166,14 +166,13 @@ void check_shape_fields(std::size_t classes, std::size_t width,
       checked_mul(width, height, "image shape") > (std::size_t{1} << 26)) {
     throw std::runtime_error("load_model: implausible image shape");
   }
-  // A stream load constructs an HdcClassifier, which regenerates the dense
+  // A stream load constructs an HdcClassifier, which regenerates the
   // codebooks from the seed — width*height position entries and
-  // value_levels value entries of dim bytes each. Those dense rows are never
-  // stored (a remat file omits even the packed mirrors), so their sizes are
-  // not bounded by the section-size checks. Cap the element counts so a
-  // kilobyte-sized hostile file cannot demand a multi-hundred-GiB allocation
-  // (2^30 elements = a 1 GiB dense codebook, far beyond any model this
-  // codebase trains, e.g. 28*28*10000 ~= 2^23).
+  // value_levels value entries of dim bits each. A remat file omits the
+  // mirrors, so their sizes are not bounded by the section-size checks. Cap
+  // the element counts so a kilobyte-sized hostile file cannot demand a
+  // multi-GiB allocation (2^30 elements = a 128 MiB packed codebook, far
+  // beyond any model this codebase trains, e.g. 28*28*10000 ~= 2^23).
   if (checked_mul(checked_mul(width, height, "image shape"), dim,
                   "codebook") > (std::size_t{1} << 30) ||
       checked_mul(value_levels, dim, "value codebook") >

@@ -44,13 +44,12 @@
 ///
 /// Zero-copy serving: MappedModel mmaps a v3 file read-only and hands
 /// PackedAssocMemory / PackedItemMemory non-owning views over the mapping.
-/// For stored-mirror files, construction performs zero dense->packed
-/// rebuilds, zero codebook regenerations from the seed, and zero dense-HV
-/// materializations (instrument counters prove it; asserted by
-/// tests/hdc/mapped_model_test), and N processes mapping one model file
-/// share its pages through the kernel page cache. For remat files the
-/// omitted codebooks become rematerializing memories over the stored seed —
-/// rows regenerate per encode, and the map stays dense-free either way.
+/// For stored-mirror files, construction performs zero class-HV rebuilds
+/// and zero codebook regenerations from the seed (instrument counters prove
+/// it; asserted by tests/hdc/mapped_model_test), and N processes mapping one
+/// model file share its pages through the kernel page cache. For remat
+/// files the omitted codebooks become rematerializing memories over the
+/// stored seed — rows regenerate per encode.
 
 #include <cstddef>
 #include <cstdint>
@@ -104,11 +103,10 @@ struct MapOptions {
 ///
 /// The packed associative memory, the packed codebook mirrors the file
 /// carries, and the packed tie-break are non-owning views over the
-/// mapping: no copies, no dense->packed rebuilds, no codebook regeneration
-/// from the seed. Codebooks a remat file omits are served as
-/// rematerializing memories instead (rows regenerate from the seed per
-/// encode — still dense-free). All views (and anything copied from them)
-/// must not outlive this object.
+/// mapping: no copies, no class-HV rebuilds, no codebook regeneration from
+/// the seed. Codebooks a remat file omits are served as rematerializing
+/// memories instead (rows regenerate from the seed per encode). All views
+/// (and anything copied from them) must not outlive this object.
 ///
 /// Thread-safety: all member functions are const over immutable state, so
 /// one MappedModel may serve queries from many threads.
@@ -144,7 +142,7 @@ class MappedModel {
     return values_;
   }
 
-  /// Encodes an image through the mapped codebooks (bit-sliced, dense-free).
+  /// Encodes an image through the mapped codebooks (bit-sliced).
   /// Bit-exact with PixelEncoder::encode_packed of the saved model.
   /// \throws std::invalid_argument on shape mismatch.
   [[nodiscard]] PackedHv encode_packed(const data::Image& image) const;

@@ -35,9 +35,9 @@ TrainHistory train_with_retraining(HdcClassifier& model,
   // Encoded-dataset cache: every image is encoded into its packed query
   // exactly once (~D/8 bytes each); the one-shot fit, every retraining
   // epoch, and every accuracy evaluation replay the cache instead of
-  // re-encoding. Packed fit/retrain/evaluate reproduce the dense integers
-  // exactly, so the model and history are bit-identical to the uncached
-  // loop.
+  // re-encoding. Cached fit/retrain/evaluate run the same integer updates
+  // as the image overloads, so the model and history are bit-identical to
+  // the uncached loop.
   train.validate();
   validation.validate();
   if (static_cast<std::size_t>(train.num_classes) != model.num_classes()) {

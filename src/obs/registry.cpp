@@ -88,14 +88,9 @@ Registry& Registry::global() {
   static Registry& instance = []() -> Registry& {
     static Registry reg;
     auto& cells = hdc::instrument::counters();
-    reg.bind_external("hdc_dense_hv_materializations_total",
-                      &cells.dense_hv_materializations);
-    reg.bind_external("hdc_packed_from_dense_total", &cells.packed_from_dense);
     reg.bind_external("hdc_am_row_walks_total", &cells.am_row_walks);
     reg.bind_external("hdc_packed_am_rebuilds_total",
                       &cells.packed_am_rebuilds);
-    reg.bind_external("hdc_item_memory_generations_total",
-                      &cells.item_memory_generations);
     reg.bind_external("hdc_packed_codebook_builds_total",
                       &cells.packed_codebook_builds);
     reg.bind_external("hdc_codebook_row_rematerializations_total",

@@ -20,7 +20,7 @@ namespace hdtest::util {
 /// \code
 ///   ArgParser args("fuzz_campaign", "Runs a full HDTest campaign");
 ///   args.add_flag("strategy", "gauss", "Mutation strategy");
-///   args.add_flag("dim", "4096", "Hypervector dimensionality");
+///   args.add_flag("dim", "4096", "hypervector dimensionality");
 ///   args.add_bool("verbose", "Enable info logging");
 ///   args.parse(argc, argv);       // throws std::invalid_argument on bad input
 ///   auto dim = args.get_u64("dim");

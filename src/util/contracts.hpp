@@ -9,9 +9,10 @@
 ///                     iteration order of unordered containers, wall-clock
 ///                     time, or thread identity; `run_campaign(workers=N)`
 ///                     must be bit-identical to `workers=1`.
-///   2. dense-free   - the fuzz loop's steady state never materializes a
-///                     dense Hypervector, never calls PackedHv::from_dense,
-///                     and never explicitly heap-allocates per mutant.
+///   2. dense-free   - the fuzz loop's steady state stays in packed
+///                     sign-bit space (the library has no dense hypervector
+///                     type; the int8 reference is test-only) and never
+///                     explicitly heap-allocates per mutant.
 ///   3. serializer-safety - every size computed from file bytes goes through
 ///                     checked_mul/checked_add before it can size an
 ///                     allocation or an offset, and mapped payload bytes are
@@ -24,9 +25,8 @@
 
 /// Marks a function as part of the fuzz loop's steady-state hot path: the
 /// hdtest-dense-free check walks the annotated function and every
-/// statically resolved callee, flagging dense Hypervector construction,
-/// PackedHv::from_dense, and explicit heap allocation (new / malloc /
-/// make_unique / make_shared). Place it directly before the declaration
-/// and repeat it on the out-of-line definition: the checker reads the
-/// macro token itself, wherever it looks.
+/// statically resolved callee, flagging explicit heap allocation (new /
+/// malloc / make_unique / make_shared). Place it directly before the
+/// declaration and repeat it on the out-of-line definition: the checker
+/// reads the macro token itself, wherever it looks.
 #define HDTEST_HOT_PATH

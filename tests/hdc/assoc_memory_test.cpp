@@ -6,12 +6,27 @@
 
 #include <stdexcept>
 
+#include "dense_oracle.hpp"
+
 namespace hdtest::hdc {
 namespace {
 
-Hypervector random_hv(std::size_t dim, std::uint64_t seed) {
+PackedHv random_hv(std::size_t dim, std::uint64_t seed) {
   util::Rng rng(seed);
-  return Hypervector::random(dim, rng);
+  return PackedHv::random(dim, rng);
+}
+
+PackedHv class_hv(const AssociativeMemory& am, std::size_t cls) {
+  return PackedHv::from_words(am.dim(), am.packed().class_words(cls));
+}
+
+/// Eq. 1 over \p am's accumulators, computed by the dense reference.
+void expect_reference_class_hvs(const AssociativeMemory& am,
+                                std::uint64_t seed) {
+  const auto reference = oracle::class_hvs(am, seed);
+  for (std::size_t c = 0; c < am.num_classes(); ++c) {
+    EXPECT_EQ(class_hv(am, c), oracle::pack(reference[c])) << "class " << c;
+  }
 }
 
 TEST(AssociativeMemory, ValidatesConstruction) {
@@ -25,23 +40,22 @@ TEST(AssociativeMemory, ValidatesConstruction) {
 
 TEST(AssociativeMemory, QueryBeforeFinalizeThrows) {
   AssociativeMemory am(2, 16, 1);
-  am.add(0, random_hv(16, 1));
-  EXPECT_THROW((void)am.class_hv(0), std::logic_error);
-  EXPECT_THROW((void)am.similarities(random_hv(16, 2)), std::logic_error);
-  EXPECT_THROW((void)am.similarity_to(0, random_hv(16, 2)), std::logic_error);
+  am.add_packed(0, random_hv(16, 1));
+  EXPECT_THROW((void)am.packed(), std::logic_error);
 }
 
 TEST(AssociativeMemory, AddRejectsBadClass) {
   AssociativeMemory am(2, 16, 1);
-  EXPECT_THROW(am.add(2, random_hv(16, 1)), std::out_of_range);
+  EXPECT_THROW(am.add_packed(2, random_hv(16, 1)), std::out_of_range);
+  EXPECT_THROW(am.add_packed(0, random_hv(17, 1)), std::invalid_argument);
 }
 
 TEST(AssociativeMemory, AccumulatorTracksSignedAdds) {
   AssociativeMemory am(1, 4, 1);
-  const auto v = Hypervector::from_raw({1, -1, 1, -1});
-  am.add(0, v);
-  am.add(0, v);
-  am.add(0, v, -1);
+  const auto v = oracle::pack(oracle::Hypervector::from_raw({1, -1, 1, -1}));
+  am.add_packed(0, v);
+  am.add_packed(0, v);
+  am.add_packed(0, v, -1);
   EXPECT_EQ(am.accumulator(0).lane(0), 1);
   EXPECT_EQ(am.accumulator(0).lane(1), -1);
   EXPECT_THROW((void)am.accumulator(1), std::out_of_range);
@@ -51,13 +65,13 @@ TEST(AssociativeMemory, SingleExampleClassMatchesItsHv) {
   AssociativeMemory am(2, 1024, 7);
   const auto a = random_hv(1024, 10);
   const auto b = random_hv(1024, 20);
-  am.add(0, a);
-  am.add(1, b);
+  am.add_packed(0, a);
+  am.add_packed(1, b);
   am.finalize();
   EXPECT_TRUE(am.finalized());
   // A single bundled HV bipolarizes back to itself (no zero lanes).
-  EXPECT_EQ(am.class_hv(0), a);
-  EXPECT_EQ(am.class_hv(1), b);
+  EXPECT_EQ(class_hv(am, 0), a);
+  EXPECT_EQ(class_hv(am, 1), b);
 }
 
 TEST(AssociativeMemory, PredictReturnsNearestClass) {
@@ -65,20 +79,20 @@ TEST(AssociativeMemory, PredictReturnsNearestClass) {
   const auto c0 = random_hv(2048, 1);
   const auto c1 = random_hv(2048, 2);
   const auto c2 = random_hv(2048, 3);
-  am.add(0, c0);
-  am.add(1, c1);
-  am.add(2, c2);
+  am.add_packed(0, c0);
+  am.add_packed(1, c1);
+  am.add_packed(2, c2);
   am.finalize();
-  EXPECT_EQ(am.predict(c0), 0u);
-  EXPECT_EQ(am.predict(c1), 1u);
-  EXPECT_EQ(am.predict(c2), 2u);
+  EXPECT_EQ(am.packed().predict(c0), 0u);
+  EXPECT_EQ(am.packed().predict(c1), 1u);
+  EXPECT_EQ(am.packed().predict(c2), 2u);
 }
 
 TEST(AssociativeMemory, SimilaritiesHaveOneEntryPerClass) {
   AssociativeMemory am(4, 256, 5);
-  for (std::size_t c = 0; c < 4; ++c) am.add(c, random_hv(256, c + 1));
+  for (std::size_t c = 0; c < 4; ++c) am.add_packed(c, random_hv(256, c + 1));
   am.finalize();
-  const auto sims = am.similarities(random_hv(256, 99));
+  const auto sims = am.packed().similarities(random_hv(256, 99));
   EXPECT_EQ(sims.size(), 4u);
   for (const auto s : sims) {
     EXPECT_GE(s, -1.0);
@@ -88,14 +102,14 @@ TEST(AssociativeMemory, SimilaritiesHaveOneEntryPerClass) {
 
 TEST(AssociativeMemory, SimilarityToMatchesSimilaritiesVector) {
   AssociativeMemory am(3, 512, 5);
-  for (std::size_t c = 0; c < 3; ++c) am.add(c, random_hv(512, c + 1));
+  for (std::size_t c = 0; c < 3; ++c) am.add_packed(c, random_hv(512, c + 1));
   am.finalize();
   const auto query = random_hv(512, 42);
-  const auto sims = am.similarities(query);
+  const auto sims = am.packed().similarities(query);
   for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_DOUBLE_EQ(am.similarity_to(c, query), sims[c]);
+    EXPECT_DOUBLE_EQ(am.packed().similarity_to(c, query), sims[c]);
   }
-  EXPECT_THROW((void)am.similarity_to(3, query), std::out_of_range);
+  EXPECT_THROW((void)am.packed().similarity_to(3, query), std::out_of_range);
 }
 
 TEST(AssociativeMemory, HammingMetricRanksLikeCosine) {
@@ -104,14 +118,14 @@ TEST(AssociativeMemory, HammingMetricRanksLikeCosine) {
   AssociativeMemory ham_am(3, 1024, 5, Similarity::kHamming);
   for (std::size_t c = 0; c < 3; ++c) {
     const auto hv = random_hv(1024, 100 + c);
-    cos_am.add(c, hv);
-    ham_am.add(c, hv);
+    cos_am.add_packed(c, hv);
+    ham_am.add_packed(c, hv);
   }
   cos_am.finalize();
   ham_am.finalize();
   for (std::uint64_t q = 0; q < 10; ++q) {
     const auto query = random_hv(1024, 500 + q);
-    EXPECT_EQ(cos_am.predict(query), ham_am.predict(query));
+    EXPECT_EQ(cos_am.packed().predict(query), ham_am.packed().predict(query));
   }
 }
 
@@ -120,15 +134,17 @@ TEST(AssociativeMemory, RefinalizeAfterRetrainingUpdates) {
   const auto a = random_hv(4096, 1);
   const auto b = random_hv(4096, 2);
   const auto query = random_hv(4096, 3);
-  am.add(0, a);
-  am.add(1, b);
+  am.add_packed(0, a);
+  am.add_packed(1, b);
   am.finalize();
-  const auto before = am.similarity_to(0, query);
+  const auto before = am.packed().similarity_to(0, query);
   // Absorb the query into class 0: similarity must rise.
-  am.add(0, query);
+  am.add_packed(0, query);
   EXPECT_FALSE(am.finalized());
   am.finalize();
-  EXPECT_GT(am.similarity_to(0, query), before);
+  EXPECT_GT(am.packed().similarity_to(0, query), before);
+  // Class 0 now has ~D/2 zero lanes, each resolved by the tie-break.
+  expect_reference_class_hvs(am, 9);
 }
 
 TEST(AssociativeMemory, TieBreakIsDeterministicPerSeed) {
@@ -140,17 +156,18 @@ TEST(AssociativeMemory, TieBreakIsDeterministicPerSeed) {
   a1.finalize();
   a2.finalize();
   b.finalize();
-  EXPECT_EQ(a1.class_hv(0), a2.class_hv(0));
-  EXPECT_NE(a1.class_hv(0), b.class_hv(0));
+  EXPECT_EQ(class_hv(a1, 0), class_hv(a2, 0));
+  EXPECT_NE(class_hv(a1, 0), class_hv(b, 0));
+  expect_reference_class_hvs(a1, 77);
 }
 
 TEST(AssociativeMemory, PredictTieBreaksTowardLowerIndex) {
   AssociativeMemory am(2, 64, 1);
   const auto same = random_hv(64, 5);
-  am.add(0, same);
-  am.add(1, same);
+  am.add_packed(0, same);
+  am.add_packed(1, same);
   am.finalize();
-  EXPECT_EQ(am.predict(same), 0u);
+  EXPECT_EQ(am.packed().predict(same), 0u);
 }
 
 }  // namespace

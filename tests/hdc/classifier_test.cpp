@@ -118,7 +118,7 @@ TEST(HdcClassifier, PredictEncodedMatchesPredict) {
   HdcClassifier model(test_config(), 28, 28, 10);
   model.fit(digits().train);
   const auto& img = digits().test.images[3];
-  EXPECT_EQ(model.am().predict(model.encoder().encode(img)),
+  EXPECT_EQ(model.am().packed().predict(model.encoder().encode_packed(img)),
             model.predict(img));
 }
 
@@ -126,10 +126,10 @@ TEST(HdcClassifier, SimilarityToClassMatchesSimilarities) {
   HdcClassifier model(test_config(), 28, 28, 10);
   model.fit(digits().train);
   const auto& img = digits().test.images[5];
-  const auto query = model.encoder().encode(img);
+  const auto query = model.encoder().encode_packed(img);
   const auto sims = model.similarities(img);
   for (std::size_t c = 0; c < 10; ++c) {
-    EXPECT_DOUBLE_EQ(model.am().similarity_to(c, query), sims[c]);
+    EXPECT_DOUBLE_EQ(model.am().packed().similarity_to(c, query), sims[c]);
   }
 }
 

@@ -3,7 +3,8 @@
 // must be bit-identical to the stored-mirror model in everything it
 // computes — predictions, packed encodes, fuzz campaign records — across
 // every kernel backend (the scalar oracle included), and both serving modes
-// (owning encoder and mmap-served file). Also pins the rematerialization
+// (owning encoder and mmap-served file), and both must agree with the dense
+// reference (dense_oracle.hpp). Also pins the rematerialization
 // counter semantics: stored-mode paths never rematerialize a row, remat
 // paths never touch mirror storage.
 
@@ -18,6 +19,7 @@
 
 #include "backend_guard.hpp"
 #include "data/synthetic_digits.hpp"
+#include "dense_oracle.hpp"
 #include "fuzz/campaign.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/mutation.hpp"
@@ -76,6 +78,13 @@ TEST(CodebookRemat, PredictionsBitIdenticalAcrossEveryCell) {
     const auto stored = trained(config_for(dim, CodebookMode::kStored));
     const auto remat = trained(config_for(dim, CodebookMode::kRemat));
     const auto expected = stored.predict_batch(digits().test.images);
+    if (dim <= 4096) {  // the reference's plain loops stay cheap up to here
+      const oracle::Classifier reference(stored);
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(expected[i], reference.predict(digits().test.images[i]))
+            << "reference dim=" << dim << " image " << i;
+      }
+    }
     const ModelFile stored_file(stored, "cellstored");
     const ModelFile remat_file(remat, "cellremat");
     for (const auto* backend : util::simd::available_kernels()) {
@@ -108,9 +117,12 @@ TEST(CodebookRemat, PackedEncodesAgreeForCorrelatedValueStrategies) {
     const PixelEncoder enc_remat(remat_config, 28, 28);
     EXPECT_FALSE(enc_remat.packed_value_memory().rematerializing());
     EXPECT_TRUE(enc_remat.packed_position_memory().rematerializing());
+    const oracle::Encoder reference(stored_config, 28, 28);
     for (const auto& image : digits().test.images) {
       EXPECT_EQ(enc_remat.encode_packed(image),
                 enc_stored.encode_packed(image));
+      EXPECT_EQ(enc_stored.encode_packed(image),
+                oracle::pack(reference.encode(image)));
     }
   }
 }

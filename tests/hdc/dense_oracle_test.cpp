@@ -1,14 +1,20 @@
-// Tests for hdc/hypervector: the HDC algebra and its invariants.
+// Tests for the dense reference's HDC algebra and its invariants, and for
+// the library's bundling accumulator and Eq. 1 against it.
 
-#include "hdc/hypervector.hpp"
+#include "dense_oracle.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 
-namespace hdtest::hdc {
+#include "hdc/accumulator.hpp"
+
+namespace hdtest::oracle {
 namespace {
+
+using hdc::Accumulator;
+using hdc::PackedHv;
 
 TEST(Hypervector, DefaultIsEmpty) {
   Hypervector v;
@@ -157,10 +163,10 @@ TEST(Accumulator, ZeroDimThrows) {
 
 TEST(Accumulator, AddAndSubtractTrackLanes) {
   Accumulator acc(4);
-  const auto v = Hypervector::from_raw({1, -1, 1, -1});
-  acc.add(v);
-  acc.add(v);
-  acc.add(v, -1);
+  const auto v = pack(Hypervector::from_raw({1, -1, 1, -1}));
+  acc.add_packed(v.words());
+  acc.add_packed(v.words());
+  acc.add_packed(v.words(), -1);
   EXPECT_EQ(acc.lane(0), 1);
   EXPECT_EQ(acc.lane(1), -1);
   EXPECT_EQ(acc.lane(2), 1);
@@ -168,72 +174,66 @@ TEST(Accumulator, AddAndSubtractTrackLanes) {
 }
 
 TEST(Accumulator, AddBoundMatchesExplicitBind) {
+  // The library binds packed HVs by XOR; the reference multiplies elements.
   util::Rng rng(14);
-  const auto a = Hypervector::random(256, rng);
-  const auto b = Hypervector::random(256, rng);
-  Accumulator direct(256);
-  direct.add(bind(a, b));
-  Accumulator fused(256);
-  fused.add_bound(a, b);
-  for (std::size_t i = 0; i < 256; ++i) {
-    EXPECT_EQ(direct.lane(i), fused.lane(i));
-  }
+  const auto a = Hypervector::random(257, rng);
+  const auto b = Hypervector::random(257, rng);
+  Lanes direct(257, 0);
+  add(direct, bind(a, b));
+  Accumulator packed(257);
+  packed.add_packed(hdc::bind(pack(a), pack(b)).words());
+  EXPECT_EQ(Lanes(packed.lanes().begin(), packed.lanes().end()), direct);
 }
 
 TEST(Accumulator, ClearZeroesLanes) {
   Accumulator acc(8);
-  acc.add(Hypervector(8));
+  acc.add_packed(PackedHv(8).words());
   acc.clear();
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(acc.lane(i), 0);
 }
 
 TEST(Accumulator, BipolarizeFollowsEq1) {
-  Accumulator acc(3);
-  const auto pos = Hypervector::from_raw({1, -1, 1});
-  const auto neg = Hypervector::from_raw({1, -1, -1});
-  acc.add(pos);
-  acc.add(neg);
-  // Lanes: [2, -2, 0]. Tie-break vector decides lane 2.
+  const auto acc = Accumulator::from_lanes({2, -2, 0});
+  // Lane 2 is zero: the tie-break vector decides it.
   const auto tie = Hypervector::from_raw({-1, -1, -1});
-  const auto out = acc.bipolarize(tie);
-  EXPECT_EQ(out[0], 1);
-  EXPECT_EQ(out[1], -1);
-  EXPECT_EQ(out[2], -1);  // from tie-break
+  EXPECT_EQ(acc.bipolarize_packed(pack(tie)),
+            pack(Hypervector::from_raw({1, -1, -1})));
   const auto tie2 = Hypervector::from_raw({1, 1, 1});
-  EXPECT_EQ(acc.bipolarize(tie2)[2], 1);
+  EXPECT_EQ(acc.bipolarize_packed(pack(tie2)).get(2), 1);
+  EXPECT_EQ(bipolarize(acc.lanes(), tie), Hypervector::from_raw({1, -1, -1}));
 }
 
 TEST(Accumulator, BipolarizeChecksTieBreakDim) {
   Accumulator acc(4);
-  EXPECT_THROW((void)acc.bipolarize(Hypervector(3)), std::invalid_argument);
+  EXPECT_THROW((void)acc.bipolarize_packed(PackedHv(3)),
+               std::invalid_argument);
 }
 
 TEST(Bundle, PreservesSimilarityToOperands) {
   // The paper: addition preserves ~50% of each operand. The bundle of two
   // random HVs has cosine ~0.5 to each (exactly 0.5 in expectation).
   util::Rng rng(16);
-  const auto a = Hypervector::random(10000, rng);
-  const auto b = Hypervector::random(10000, rng);
-  const auto tie = Hypervector::random(10000, rng);
+  const auto a = PackedHv::random(10000, rng);
+  const auto b = PackedHv::random(10000, rng);
+  const auto tie = PackedHv::random(10000, rng);
   Accumulator acc(10000);
-  acc.add(a);
-  acc.add(b);
-  const auto bundled = acc.bipolarize(tie);
-  EXPECT_NEAR(cosine(bundled, a), 0.5, 0.05);
-  EXPECT_NEAR(cosine(bundled, b), 0.5, 0.05);
+  acc.add_packed(a.words());
+  acc.add_packed(b.words());
+  const auto bundled = acc.bipolarize_packed(tie);
+  EXPECT_NEAR(hdc::cosine(bundled, a), 0.5, 0.05);
+  EXPECT_NEAR(hdc::cosine(bundled, b), 0.5, 0.05);
 }
 
 TEST(Bundle, MajorityWinsWithThreeOperands) {
-  const auto a = Hypervector::from_raw({1, 1, -1, -1});
-  const auto b = Hypervector::from_raw({1, -1, 1, -1});
-  const auto c = Hypervector::from_raw({1, 1, 1, -1});
   Accumulator acc(4);
-  acc.add(a);
-  acc.add(b);
-  acc.add(c);
+  for (const auto& raw : {std::vector<std::int8_t>{1, 1, -1, -1},
+                          std::vector<std::int8_t>{1, -1, 1, -1},
+                          std::vector<std::int8_t>{1, 1, 1, -1}}) {
+    acc.add_packed(pack(Hypervector::from_raw(raw)).words());
+  }
   // No zero lanes with an odd operand count -> tie-break never used.
-  const auto out = acc.bipolarize(Hypervector(4));
-  EXPECT_EQ(out, Hypervector::from_raw({1, 1, 1, -1}));
+  EXPECT_EQ(unpack(acc.bipolarize_packed(PackedHv(4))),
+            Hypervector::from_raw({1, 1, 1, -1}));
 }
 
 // Parameterized dimension sweep for the core algebraic invariants.
@@ -258,4 +258,4 @@ INSTANTIATE_TEST_SUITE_P(Dims, HvDimSweep,
                          ::testing::Values(1, 2, 63, 64, 65, 100, 1024, 4096));
 
 }  // namespace
-}  // namespace hdtest::hdc
+}  // namespace hdtest::oracle

@@ -1,13 +1,15 @@
 // Tests for hdc/encoder: the paper's pixel encoding and the incremental delta
-// re-encoder (must match full encoding bit-for-bit).
+// re-encoder (both must match the dense reference bit-for-bit).
 
 #include "hdc/encoder.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "data/synthetic_digits.hpp"
+#include "dense_oracle.hpp"
 
 namespace hdtest::hdc {
 namespace {
@@ -28,15 +30,23 @@ data::Image random_image(std::size_t w, std::size_t h, std::uint64_t seed) {
   return img;
 }
 
+/// The dense reference's encode of \p img under \p enc's config.
+PackedHv reference_encode(const PixelEncoder& enc, const data::Image& img) {
+  const oracle::Encoder reference(enc.config(), enc.width(), enc.height());
+  return oracle::pack(reference.encode(img));
+}
+
+PackedHv row_of(const PackedItemMemory& memory, std::size_t index) {
+  std::vector<std::uint64_t> scratch(memory.row_scratch_words());
+  return PackedHv::from_words(memory.dim(), memory.row(index, scratch));
+}
+
 TEST(PixelEncoder, MemoriesHaveExpectedShapes) {
-  // Inspects the dense mirrors, which only a stored-mode encoder keeps.
-  auto config = small_config();
-  config.codebook = CodebookMode::kStored;
-  const PixelEncoder enc(config, 8, 6);
+  const PixelEncoder enc(small_config(), 8, 6);
   EXPECT_EQ(enc.width(), 8u);
   EXPECT_EQ(enc.height(), 6u);
-  EXPECT_EQ(enc.position_memory().count(), 48u);
-  EXPECT_EQ(enc.value_memory().count(), 256u);
+  EXPECT_EQ(enc.packed_position_memory().count(), 48u);
+  EXPECT_EQ(enc.packed_value_memory().count(), 256u);
   EXPECT_EQ(enc.dim(), 512u);
 }
 
@@ -51,12 +61,13 @@ TEST(PixelEncoder, RejectsZeroShapeAndBadConfig) {
 TEST(PixelEncoder, EncodeIsDeterministic) {
   const PixelEncoder enc(small_config(), 8, 8);
   const auto img = random_image(8, 8, 1);
-  EXPECT_EQ(enc.encode(img), enc.encode(img));
+  EXPECT_EQ(enc.encode_packed(img), enc.encode_packed(img));
 }
 
 TEST(PixelEncoder, EncodeChecksShape) {
   const PixelEncoder enc(small_config(), 8, 8);
-  EXPECT_THROW(enc.encode(data::Image(7, 8, 0)), std::invalid_argument);
+  EXPECT_THROW((void)enc.encode_packed(data::Image(7, 8, 0)),
+               std::invalid_argument);
 }
 
 TEST(PixelEncoder, DifferentSeedsGiveDifferentEncodings) {
@@ -66,31 +77,33 @@ TEST(PixelEncoder, DifferentSeedsGiveDifferentEncodings) {
   const PixelEncoder e1(c1, 6, 6);
   const PixelEncoder e2(c2, 6, 6);
   const auto img = random_image(6, 6, 2);
-  EXPECT_NE(e1.encode(img), e2.encode(img));
+  EXPECT_NE(e1.encode_packed(img), e2.encode_packed(img));
 }
 
 TEST(PixelEncoder, PixelHvIsBindOfPositionAndValue) {
-  // Dense-mirror inspection needs a stored-mode encoder.
-  auto config = small_config();
-  config.codebook = CodebookMode::kStored;
-  const PixelEncoder enc(config, 4, 4);
-  const auto expected = bind(enc.position_memory().at(5),
-                             enc.value_memory().at(100));
-  EXPECT_EQ(enc.pixel_hv(5, 100), expected);
+  // The XOR of the packed rows is the reference's element-wise bind.
+  const PixelEncoder enc(small_config(), 4, 4);
+  const oracle::Encoder reference(enc.config(), 4, 4);
+  EXPECT_EQ(bind(row_of(enc.packed_position_memory(), 5),
+                 row_of(enc.packed_value_memory(), 100)),
+            oracle::pack(reference.pixel_hv(5, 100)));
 }
 
 TEST(PixelEncoder, RematPixelHvMatchesStored) {
-  // pixel_hv works in remat mode too (rows regenerate on demand) and must
-  // reproduce the stored encoder's bind bit for bit.
+  // Remat rows regenerate on demand and must reproduce the stored rows bit
+  // for bit; they keep no words to hand out in place.
   auto stored = small_config();
   stored.codebook = CodebookMode::kStored;
   auto remat = stored;
   remat.codebook = CodebookMode::kRemat;
   const PixelEncoder enc_stored(stored, 4, 4);
   const PixelEncoder enc_remat(remat, 4, 4);
-  EXPECT_EQ(enc_remat.pixel_hv(5, 100), enc_stored.pixel_hv(5, 100));
-  EXPECT_THROW((void)enc_remat.position_memory(), std::logic_error);
-  EXPECT_THROW((void)enc_remat.value_memory(), std::logic_error);
+  EXPECT_EQ(row_of(enc_remat.packed_position_memory(), 5),
+            row_of(enc_stored.packed_position_memory(), 5));
+  EXPECT_EQ(row_of(enc_remat.packed_value_memory(), 100),
+            row_of(enc_stored.packed_value_memory(), 100));
+  EXPECT_THROW((void)enc_remat.packed_position_memory().at(0),
+               std::logic_error);
 }
 
 TEST(PixelEncoder, EncodeIntoMatchesEncode) {
@@ -98,7 +111,11 @@ TEST(PixelEncoder, EncodeIntoMatchesEncode) {
   const auto img = random_image(5, 5, 3);
   Accumulator acc(512);
   enc.encode_into(img, acc);
-  EXPECT_EQ(acc.bipolarize(enc.tie_break()), enc.encode(img));
+  EXPECT_EQ(acc.bipolarize_packed(enc.tie_break_packed()),
+            enc.encode_packed(img));
+  const oracle::Encoder reference(enc.config(), 5, 5);
+  EXPECT_EQ(oracle::Lanes(acc.lanes().begin(), acc.lanes().end()),
+            reference.lanes(img));
 }
 
 TEST(PixelEncoder, EncodeIntoChecksAccumulatorDim) {
@@ -133,14 +150,14 @@ TEST(PixelEncoder, SimilarImagesEncodeSimilarly) {
   mutated(3, 3) = static_cast<std::uint8_t>(mutated(3, 3) ^ 0xff);
   // One of 64 pixel HVs is re-randomized: expected cosine ~ 63/64 = 0.984,
   // minus bipolarization noise. 0.85 is a comfortable 5-sigma bound.
-  EXPECT_GT(cosine(enc.encode(img), enc.encode(mutated)), 0.85);
+  EXPECT_GT(cosine(enc.encode_packed(img), enc.encode_packed(mutated)), 0.85);
 }
 
 TEST(PixelEncoder, VeryDifferentImagesEncodeDissimilarly) {
   const PixelEncoder enc(small_config(4096), 8, 8);
   const auto a = random_image(8, 8, 5);
   const auto b = random_image(8, 8, 6);
-  EXPECT_LT(cosine(enc.encode(a), enc.encode(b)), 0.3);
+  EXPECT_LT(cosine(enc.encode_packed(a), enc.encode_packed(b)), 0.3);
 }
 
 TEST(IncrementalEncoder, RequiresRebaseBeforeUse) {
@@ -157,7 +174,7 @@ TEST(IncrementalEncoder, MatchesFullEncodeOnIdenticalImage) {
   const auto img = random_image(6, 6, 7);
   inc.rebase(img);
   EXPECT_EQ(inc.encode_mutant_packed(img),
-            PackedHv::from_dense(enc.encode(img)));
+            reference_encode(enc, img));
   EXPECT_EQ(inc.last_delta_count(), 0u);
 }
 
@@ -171,7 +188,7 @@ TEST(IncrementalEncoder, MatchesFullEncodeOnSparseMutation) {
   mutant(7, 7) = 222;
   mutant(3, 5) = 0;
   EXPECT_EQ(inc.encode_mutant_packed(mutant),
-            PackedHv::from_dense(enc.encode(mutant)));
+            reference_encode(enc, mutant));
   EXPECT_LE(inc.last_delta_count(), 3u);
 }
 
@@ -181,7 +198,7 @@ TEST(IncrementalEncoder, MatchesFullEncodeOnTotalRewrite) {
   inc.rebase(random_image(8, 8, 9));
   const auto different = random_image(8, 8, 10);
   EXPECT_EQ(inc.encode_mutant_packed(different),
-            PackedHv::from_dense(enc.encode(different)));
+            reference_encode(enc, different));
 }
 
 TEST(IncrementalEncoder, RebaseSwitchesBase) {
@@ -194,7 +211,7 @@ TEST(IncrementalEncoder, RebaseSwitchesBase) {
   auto mutant = second;
   mutant(2, 2) = 99;
   EXPECT_EQ(inc.encode_mutant_packed(mutant),
-            PackedHv::from_dense(enc.encode(mutant)));
+            reference_encode(enc, mutant));
 }
 
 TEST(IncrementalEncoder, ShapeMismatchThrows) {
@@ -216,11 +233,11 @@ TEST(IncrementalEncoder, QuantizedValueChangesBelowResolutionAreFree) {
   auto mutant = base;
   mutant(1, 1) = 3;
   EXPECT_EQ(inc.encode_mutant_packed(mutant),
-            PackedHv::from_dense(enc.encode(base)));
+            reference_encode(enc, base));
 }
 
 // Property sweep over random mutation batches: the packed delta encode equals
-// the packed dense full encode, always.
+// the dense reference's encode, always.
 class IncrementalSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IncrementalSweep, AgreesWithFullEncode) {
@@ -237,7 +254,7 @@ TEST_P(IncrementalSweep, AgreesWithFullEncode) {
     mutant(row, col) = static_cast<std::uint8_t>(rng.uniform_u64(256));
   }
   EXPECT_EQ(inc.encode_mutant_packed(mutant),
-            PackedHv::from_dense(enc.encode(mutant)));
+            reference_encode(enc, mutant));
 }
 
 INSTANTIATE_TEST_SUITE_P(Batches, IncrementalSweep,

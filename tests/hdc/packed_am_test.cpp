@@ -1,8 +1,8 @@
-// Tests for the packed associative-memory fast path: predict_packed /
-// similarities_packed must rank identically to the dense reference path,
-// and the query-blocked sweep (predict_block) must agree bit-for-bit with
-// per-query predict()/similarity_to() on every compiled SIMD backend, every
-// block size, and every worker count.
+// Tests for the packed associative memory: predict / similarities must
+// rank identically to the dense reference, and the query-blocked sweep
+// (predict_block) must agree bit-for-bit with per-query
+// predict()/similarity_to() on every compiled SIMD backend, every block
+// size, and every worker count.
 
 #include <gtest/gtest.h>
 
@@ -13,19 +13,22 @@
 
 #include "backend_guard.hpp"
 #include "data/synthetic_digits.hpp"
+#include "dense_oracle.hpp"
 #include "hdc/classifier.hpp"
 #include "util/simd/kernels.hpp"
 
 namespace hdtest::hdc {
 namespace {
 
+constexpr std::uint64_t kAmSeed = 13;
+
 AssociativeMemory small_am(std::size_t classes, std::size_t dim,
                            Similarity sim = Similarity::kCosine) {
-  AssociativeMemory am(classes, dim, 13, sim);
+  AssociativeMemory am(classes, dim, kAmSeed, sim);
   util::Rng rng(7);
   for (std::size_t c = 0; c < classes; ++c) {
-    am.add(c, Hypervector::random(dim, rng));
-    am.add(c, Hypervector::random(dim, rng));
+    am.add_packed(c, PackedHv::random(dim, rng));
+    am.add_packed(c, PackedHv::random(dim, rng));
   }
   am.finalize();
   return am;
@@ -33,20 +36,19 @@ AssociativeMemory small_am(std::size_t classes, std::size_t dim,
 
 TEST(PackedAm, RequiresFinalization) {
   AssociativeMemory am(2, 64, 1);
-  util::Rng rng(1);
-  const auto query = PackedHv::random(64, rng);
-  EXPECT_THROW((void)am.predict_packed(query), std::logic_error);
-  EXPECT_THROW((void)am.similarities_packed(query), std::logic_error);
+  EXPECT_THROW((void)am.packed(), std::logic_error);
 }
 
 TEST(PackedAm, SimilaritiesMatchDenseExactly) {
   const auto am = small_am(5, 1024);
+  const auto classes = oracle::class_hvs(am, kAmSeed);
   util::Rng rng(2);
   for (int trial = 0; trial < 10; ++trial) {
-    const auto dense_query = Hypervector::random(1024, rng);
-    const auto packed_query = PackedHv::from_dense(dense_query);
-    const auto dense_sims = am.similarities(dense_query);
-    const auto packed_sims = am.similarities_packed(packed_query);
+    const auto dense_query = oracle::Hypervector::random(1024, rng);
+    const auto dense_sims =
+        oracle::similarities(classes, dense_query, Similarity::kCosine);
+    const auto packed_sims =
+        am.packed().similarities(oracle::pack(dense_query));
     ASSERT_EQ(dense_sims.size(), packed_sims.size());
     for (std::size_t c = 0; c < dense_sims.size(); ++c) {
       EXPECT_DOUBLE_EQ(dense_sims[c], packed_sims[c]) << "class " << c;
@@ -58,11 +60,12 @@ TEST(PackedAm, PredictionsMatchDenseAtOddDimensions) {
   // Odd dims exercise the packed tail-word handling.
   for (const std::size_t dim : {63u, 65u, 1000u, 4097u}) {
     const auto am = small_am(4, dim);
+    const auto classes = oracle::class_hvs(am, kAmSeed);
     util::Rng rng(dim);
     for (int trial = 0; trial < 5; ++trial) {
-      const auto query = Hypervector::random(dim, rng);
-      EXPECT_EQ(am.predict(query),
-                am.predict_packed(PackedHv::from_dense(query)))
+      const auto query = oracle::Hypervector::random(dim, rng);
+      EXPECT_EQ(oracle::predict(classes, query, Similarity::kCosine),
+                am.packed().predict(oracle::pack(query)))
           << "dim " << dim;
     }
   }
@@ -70,35 +73,39 @@ TEST(PackedAm, PredictionsMatchDenseAtOddDimensions) {
 
 TEST(PackedAm, HammingMetricAlsoMatches) {
   const auto am = small_am(3, 512, Similarity::kHamming);
+  const auto classes = oracle::class_hvs(am, kAmSeed);
   util::Rng rng(9);
-  const auto query = Hypervector::random(512, rng);
-  const auto dense = am.similarities(query);
-  const auto packed = am.similarities_packed(PackedHv::from_dense(query));
+  const auto query = oracle::Hypervector::random(512, rng);
+  const auto dense =
+      oracle::similarities(classes, query, Similarity::kHamming);
+  const auto packed = am.packed().similarities(oracle::pack(query));
   for (std::size_t c = 0; c < dense.size(); ++c) {
     EXPECT_DOUBLE_EQ(dense[c], packed[c]);
   }
-  EXPECT_EQ(am.predict(query), am.predict_packed(PackedHv::from_dense(query)));
+  EXPECT_EQ(oracle::predict(classes, query, Similarity::kHamming),
+            am.packed().predict(oracle::pack(query)));
 }
 
 TEST(PackedAm, RefinalizeRefreshesPackedCache) {
   AssociativeMemory am(2, 2048, 3);
   util::Rng rng(4);
-  const auto a = Hypervector::random(2048, rng);
-  const auto b = Hypervector::random(2048, rng);
-  am.add(0, a);
-  am.add(1, b);
+  const auto a = PackedHv::random(2048, rng);
+  const auto b = PackedHv::random(2048, rng);
+  am.add_packed(0, a);
+  am.add_packed(1, b);
   am.finalize();
-  EXPECT_EQ(am.predict_packed(PackedHv::from_dense(a)), 0u);
+  EXPECT_EQ(am.packed().predict(a), 0u);
 
-  // Retrain so class 1 absorbs `a` strongly; the packed cache must follow.
-  am.add(1, a);
-  am.add(1, a);
-  am.add(1, a);
-  am.add(0, a, -1);
-  am.add(0, a, -1);
+  // Retrain so class 1 absorbs `a` strongly; the packed rows must follow.
+  am.add_packed(1, a);
+  am.add_packed(1, a);
+  am.add_packed(1, a);
+  am.add_packed(0, a, -1);
+  am.add_packed(0, a, -1);
   am.finalize();
-  EXPECT_EQ(am.predict_packed(PackedHv::from_dense(a)),
-            am.predict(a));
+  EXPECT_EQ(am.packed().predict(a),
+            oracle::predict(oracle::class_hvs(am, 3), oracle::unpack(a),
+                            Similarity::kCosine));
 }
 
 TEST(PackedAm, PredictBlockMatchesPerQueryOnEveryBackendBlockAndDim) {
@@ -212,17 +219,18 @@ TEST(PackedAm, PredictBlockValidates) {
 }
 
 TEST(PackedAm, EndToEndClassifierAgreement) {
-  // Full-model check: packed predictions agree with dense across a test set.
+  // Full-model check: the classifier agrees with the dense reference
+  // across a test set.
   ModelConfig config;
   config.dim = 2048;
   config.seed = 55;
   const auto pair = data::make_digit_train_test(20, 6, 717);
   HdcClassifier model(config, 28, 28, 10);
   model.fit(pair.train);
+  const oracle::Classifier reference(model);
   for (const auto& image : pair.test.images) {
-    const auto query = model.encoder().encode(image);
-    EXPECT_EQ(model.am().predict_packed(PackedHv::from_dense(query)),
-              model.am().predict(query));
+    EXPECT_EQ(model.predict(image), reference.predict(image));
+    EXPECT_EQ(model.similarities(image), reference.similarities(image));
   }
 }
 

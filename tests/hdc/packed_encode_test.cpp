@@ -1,13 +1,12 @@
-// Tests for the dense-free encoding pipeline: the fused packed bipolarize
-// (Accumulator::bipolarize_packed), the bit-sliced full encode
-// (PixelEncoder::encode_packed / encode_into via the biased bank), the
-// packed delta re-encoder (encode_mutant_packed), the parallel batch
-// encoder, and the packed fitness kernels. Every route must be bit-identical
-// to a test-side reference that shares no code with the kernels (dense
-// pixel_hv bundled through Accumulator::add, then Eq. 1) across awkward
-// dimensions (off-by-one around the word size), pixel counts that are odd,
-// even (so Eq. 1 ties occur) or not a multiple of the 16-pixel group, and
-// quantized value memories.
+// Tests for the packed encoding pipeline: the fused packed bipolarize
+// (Accumulator::bipolarize_packed), the codebook builders, the bit-sliced
+// full encode (PixelEncoder::encode_packed / encode_into via the biased
+// bank), the packed delta re-encoder (encode_mutant_packed), the parallel
+// batch encoder, and the packed fitness kernels. Every route must be
+// bit-identical to the dense reference (dense_oracle.hpp), which shares no
+// code with the kernels, across awkward dimensions (off-by-one around the
+// word size), pixel counts that are odd, even (so Eq. 1 ties occur) or not
+// a multiple of the 16-pixel group, and quantized value memories.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +18,7 @@
 
 #include "backend_guard.hpp"
 #include "data/synthetic_digits.hpp"
+#include "dense_oracle.hpp"
 #include "hdc/assoc_memory.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/packed_hv.hpp"
@@ -27,6 +27,8 @@
 
 namespace hdtest::hdc {
 namespace {
+
+using oracle::pack;
 
 // Dimensions chosen to straddle the 64-bit word boundary plus the paper's
 // operating points.
@@ -65,12 +67,11 @@ TEST(BipolarizePacked, MatchesDensePathAcrossDimsOnEveryBackend) {
     BackendGuard guard(backend->name);
     for (const auto dim : kDims) {
       util::Rng rng(dim);
-      const auto tie_break = Hypervector::random(dim, rng);
-      const auto tie_break_packed = PackedHv::from_dense(tie_break);
+      const auto tie_break = oracle::Hypervector::random(dim, rng);
       for (std::uint64_t seed = 0; seed < 4; ++seed) {
         const auto acc = random_accumulator(dim, seed * 31 + dim);
-        EXPECT_EQ(acc.bipolarize_packed(tie_break_packed),
-                  PackedHv::from_dense(acc.bipolarize(tie_break)))
+        EXPECT_EQ(acc.bipolarize_packed(pack(tie_break)),
+                  pack(oracle::bipolarize(acc.lanes(), tie_break)))
             << backend->name << " dim=" << dim << " seed=" << seed;
       }
     }
@@ -82,12 +83,9 @@ TEST(BipolarizePacked, AllZeroLanesTakeTieBreakPattern) {
   // tie-break HV, so the packed result must equal the packed tie-break.
   for (const auto dim : kDims) {
     util::Rng rng(dim + 1);
-    const auto tie_break = Hypervector::random(dim, rng);
-    const auto tie_break_packed = PackedHv::from_dense(tie_break);
+    const auto tie_break = PackedHv::random(dim, rng);
     const Accumulator zeros(dim);
-    EXPECT_EQ(zeros.bipolarize_packed(tie_break_packed), tie_break_packed);
-    EXPECT_EQ(zeros.bipolarize_packed(tie_break_packed),
-              PackedHv::from_dense(zeros.bipolarize(tie_break)));
+    EXPECT_EQ(zeros.bipolarize_packed(tie_break), tie_break);
   }
 }
 
@@ -109,21 +107,15 @@ TEST(PackedHv, FromWordsValidates) {
   EXPECT_EQ(v.get(64), -1);
 }
 
-/// The test-side encode: every pixel's dense bound HV (pixel_hv, which
-/// regenerates remat rows densely) summed through Accumulator::add. Shares
-/// no code with the bank builder or any kernel.
-Accumulator reference_lanes(const PixelEncoder& enc, const data::Image& img) {
-  Accumulator acc(enc.dim());
-  const auto pixels = img.pixels();
-  for (std::size_t p = 0; p < pixels.size(); ++p) {
-    acc.add(enc.pixel_hv(p, pixels[p]));
-  }
-  return acc;
+/// The dense reference's encode of \p img, packed for comparison.
+PackedHv reference_encode(const oracle::Encoder& reference,
+                          const data::Image& img) {
+  return pack(reference.encode(img));
 }
 
-PackedHv reference_encode(const PixelEncoder& enc, const data::Image& img) {
-  return PackedHv::from_dense(
-      reference_lanes(enc, img).bipolarize(enc.tie_break()));
+/// The reference of \p enc's config and image shape.
+oracle::Encoder reference_of(const PixelEncoder& enc) {
+  return oracle::Encoder(enc.config(), enc.width(), enc.height());
 }
 
 /// \p parent with \p count random pixels set to random values (the rand
@@ -140,7 +132,7 @@ data::Image mutate_pixels(const data::Image& parent, std::size_t count,
 
 // Every encode route against the independent reference, on every backend
 // (the oracle included) and in both codebook modes: encode_into's lanes
-// exactly, and the packed, dense, root-patch and lineage-patch queries.
+// exactly, and the packed, root-patch and lineage-patch queries.
 // P = 63 is odd (no lane can be zero); P = 64 and P = 204 are even, so Eq. 1
 // ties occur and must take the tie-break bit; 63 and 204 are not multiples
 // of the 16-pixel bundle group, and P = 204 needs 10 slice levels.
@@ -163,25 +155,23 @@ TEST(PackedEncode, EveryRouteMatchesTheIndependentReference) {
               std::to_string(mode == CodebookMode::kRemat) +
               " P=" + std::to_string(pixels) + " dim=" + std::to_string(dim);
           const auto original = random_image(shape.width, shape.height, dim);
-          const Accumulator lanes = reference_lanes(enc, original);
-          std::size_t ties = 0;
-          for (const auto lane : lanes.lanes()) ties += lane == 0 ? 1 : 0;
+          const auto reference = reference_of(enc);
+          const oracle::Lanes lanes = reference.lanes(original);
+          const auto ties = std::count(lanes.begin(), lanes.end(), 0);
           if (pixels % 2 == 1) {
-            EXPECT_EQ(ties, 0u) << where;
+            EXPECT_EQ(ties, 0) << where;
           } else if (dim >= 1000) {
             // P(lane == 0) is ~10% at P = 64 and ~6% at P = 204.
-            EXPECT_GT(ties, 10u) << where;
+            EXPECT_GT(ties, 10) << where;
           }
 
           Accumulator drained(dim);
           enc.encode_into(original, drained);
           ASSERT_TRUE(std::equal(drained.lanes().begin(), drained.lanes().end(),
-                                 lanes.lanes().begin(), lanes.lanes().end()))
-              << where;
-          ASSERT_EQ(enc.encode(original), lanes.bipolarize(enc.tie_break()))
+                                 lanes.begin(), lanes.end()))
               << where;
           ASSERT_EQ(enc.encode_packed(original),
-                    PackedHv::from_dense(lanes.bipolarize(enc.tie_break())))
+                    pack(oracle::bipolarize(lanes, reference.tie_break())))
               << where;
 
           IncrementalPixelEncoder inc(enc);
@@ -189,7 +179,7 @@ TEST(PackedEncode, EveryRouteMatchesTheIndependentReference) {
           util::Rng rng(dim + pixels);
           const auto sparse = mutate_pixels(original, 3, rng);
           ASSERT_EQ(inc.encode_mutant_packed(sparse),
-                    reference_encode(enc, sparse))
+                    reference_encode(reference, sparse))
               << where;
           data::Image parent = original;
           SliceBank parent_bank;
@@ -198,7 +188,7 @@ TEST(PackedEncode, EveryRouteMatchesTheIndependentReference) {
             const auto child = mutate_pixels(parent, 2, rng);
             ASSERT_EQ(
                 inc.encode_child_packed(child, parent, parent_bank, child_bank),
-                reference_encode(enc, child))
+                reference_encode(reference, child))
                 << where << " gen=" << gen;
             parent = child;
             std::swap(parent_bank, child_bank);
@@ -214,9 +204,10 @@ TEST(PackedEncode, MatchesDenseEncodeAcrossDimsOnEveryBackend) {
     BackendGuard guard(backend->name);
     for (const auto dim : kDims) {
       const PixelEncoder enc(config_for(dim), 9, 7);
+      const auto reference = reference_of(enc);
       for (std::uint64_t seed = 0; seed < 3; ++seed) {
         const auto img = random_image(9, 7, seed + dim);
-        EXPECT_EQ(enc.encode_packed(img), PackedHv::from_dense(enc.encode(img)))
+        EXPECT_EQ(enc.encode_packed(img), reference_encode(reference, img))
             << backend->name << " dim=" << dim << " seed=" << seed;
       }
     }
@@ -238,19 +229,19 @@ TEST(PackedEncode, EncodeBatchPackedMatchesEncodePacked) {
 
 TEST(PackedTraining, AddPackedMatchesDenseAdd) {
   // The encoded-dataset cache feeds training through Accumulator::add_packed;
-  // its lane updates must equal dense add() exactly, weights included.
+  // its lane updates must equal the reference's dense add exactly, weights
+  // included.
   for (const auto dim : kDims) {
     util::Rng rng(dim + 5);
-    Accumulator dense_acc(dim);
+    oracle::Lanes dense_lanes(dim, 0);
     Accumulator packed_acc(dim);
     for (const int weight : {+1, -1, +3}) {
-      const auto hv = Hypervector::random(dim, rng);
-      dense_acc.add(hv, weight);
-      packed_acc.add_packed(PackedHv::from_dense(hv).words(), weight);
+      const auto hv = oracle::Hypervector::random(dim, rng);
+      oracle::add(dense_lanes, hv, weight);
+      packed_acc.add_packed(pack(hv).words(), weight);
     }
-    for (std::size_t i = 0; i < dim; ++i) {
-      ASSERT_EQ(packed_acc.lane(i), dense_acc.lane(i)) << "dim=" << dim;
-    }
+    ASSERT_TRUE(std::ranges::equal(packed_acc.lanes(), dense_lanes))
+        << "dim=" << dim;
   }
   Accumulator acc(100);
   EXPECT_THROW(acc.add_packed(std::vector<std::uint64_t>(3, 0), 1),
@@ -262,27 +253,37 @@ TEST(PackedEncode, MatchesDenseEncodeWithQuantizedValues) {
   for (const auto levels : {2u, 16u, 100u}) {
     const PixelEncoder enc(config_for(1000, levels), 8, 8);
     const auto img = random_image(8, 8, levels);
-    EXPECT_EQ(enc.encode_packed(img), PackedHv::from_dense(enc.encode(img)))
+    EXPECT_EQ(enc.encode_packed(img), reference_encode(reference_of(enc), img))
         << "levels=" << levels;
   }
 }
 
 TEST(PackedEncode, PackedCodebooksMirrorDenseEntries) {
-  // Compares packed mirrors against the dense mirrors, which only a
-  // stored-mode encoder keeps.
-  auto config = config_for(1000);
-  config.codebook = CodebookMode::kStored;
-  const PixelEncoder enc(config, 6, 5);
-  ASSERT_EQ(enc.packed_position_memory().count(), 30u);
-  ASSERT_EQ(enc.packed_value_memory().count(), 256u);
-  for (std::size_t p = 0; p < 30; ++p) {
-    const auto expected = PackedHv::from_dense(enc.position_memory()[p]);
-    const auto actual = enc.packed_position_memory()[p];
-    ASSERT_TRUE(std::equal(actual.begin(), actual.end(),
-                           expected.words().begin(), expected.words().end()));
+  // Every row the packed builders (stored) or regenerators (remat) produce,
+  // for every value strategy, is the packed image of the reference's row.
+  for (const auto mode : {CodebookMode::kStored, CodebookMode::kRemat}) {
+    for (const auto strategy : {ValueStrategy::kRandom, ValueStrategy::kLevel,
+                                ValueStrategy::kThermometer}) {
+      auto config = config_for(1000, 16);
+      config.codebook = mode;
+      config.value_strategy = strategy;
+      const PixelEncoder enc(config, 6, 5);
+      const auto reference = reference_of(enc);
+      const auto expect_rows = [](const PackedItemMemory& packed,
+                                  const oracle::ItemMemory& dense) {
+        ASSERT_EQ(packed.count(), dense.count());
+        std::vector<std::uint64_t> scratch(packed.row_scratch_words());
+        for (std::size_t i = 0; i < packed.count(); ++i) {
+          ASSERT_EQ(oracle::unpack(packed.dim(), packed.row(i, scratch)),
+                    dense.at(i))
+              << "row " << i;
+        }
+      };
+      expect_rows(enc.packed_position_memory(), reference.positions());
+      expect_rows(enc.packed_value_memory(), reference.values());
+      EXPECT_EQ(enc.tie_break_packed(), pack(reference.tie_break()));
+    }
   }
-  EXPECT_EQ(enc.tie_break_packed(), PackedHv::from_dense(enc.tie_break()));
-  EXPECT_THROW((void)enc.packed_position_memory().at(30), std::out_of_range);
 }
 
 TEST(PackedEncode, EncodeMutantPackedMatchesDenseOnEveryBackend) {
@@ -301,7 +302,7 @@ TEST(PackedEncode, EncodeMutantPackedMatchesDenseOnEveryBackend) {
             static_cast<std::uint8_t>(rng.uniform_u64(256));
       }
       EXPECT_EQ(inc.encode_mutant_packed(mutant),
-                PackedHv::from_dense(enc.encode(mutant)))
+                reference_encode(reference_of(enc), mutant))
           << backend->name << " dim=" << dim;
     }
   }
@@ -430,7 +431,7 @@ TEST(PackedEncode, RebaseFromAccumulatorMatchesFullRebase) {
   EXPECT_EQ(from_acc.encode_mutant_packed(mutant),
             full.encode_mutant_packed(mutant));
   EXPECT_EQ(from_acc.encode_mutant_packed(mutant),
-            PackedHv::from_dense(enc.encode(mutant)));
+            reference_encode(reference_of(enc), mutant));
 }
 
 TEST(PackedEncode, RebaseFromAccumulatorValidates) {
@@ -442,35 +443,22 @@ TEST(PackedEncode, RebaseFromAccumulatorValidates) {
                std::invalid_argument);
 }
 
-TEST(PackedEncode, EncodeBatchMatchesSequentialForAnyWorkerCount) {
-  const PixelEncoder enc(config_for(1000), 8, 8);
-  std::vector<data::Image> images;
-  for (std::uint64_t s = 0; s < 9; ++s) images.push_back(random_image(8, 8, s));
-  for (const std::size_t workers : {1u, 4u}) {
-    const auto batch = enc.encode_batch(images, workers);
-    ASSERT_EQ(batch.size(), images.size());
-    for (std::size_t i = 0; i < images.size(); ++i) {
-      ASSERT_EQ(batch[i], enc.encode(images[i])) << "workers=" << workers;
-    }
-  }
-}
-
 TEST(PackedFitness, SimilarityToMatchesDenseExactly) {
-  // The fuzzer's fitness must be the *same doubles* under both paths, or
-  // seed selection could diverge between dense and packed runs.
+  // The fuzzer's fitness must be the *same doubles* as the reference's
+  // dense similarity, or seed selection could depend on the representation.
   for (const auto metric : {Similarity::kCosine, Similarity::kHamming}) {
     AssociativeMemory am(4, 1000, /*seed=*/3, metric);
     util::Rng rng(13);
     for (std::size_t c = 0; c < 4; ++c) {
-      am.add(c, Hypervector::random(1000, rng));
+      am.add_packed(c, PackedHv::random(1000, rng));
     }
     am.finalize();
+    const auto classes = oracle::class_hvs(am, 3);
     for (std::size_t q = 0; q < 6; ++q) {
-      const auto query = Hypervector::random(1000, rng);
-      const auto packed = PackedHv::from_dense(query);
+      const auto query = oracle::Hypervector::random(1000, rng);
+      const auto sims = oracle::similarities(classes, query, metric);
       for (std::size_t c = 0; c < 4; ++c) {
-        ASSERT_EQ(am.packed().similarity_to(c, packed),
-                  am.similarity_to(c, query));
+        ASSERT_EQ(am.packed().similarity_to(c, pack(query)), sims[c]);
       }
     }
   }
@@ -479,7 +467,9 @@ TEST(PackedFitness, SimilarityToMatchesDenseExactly) {
 TEST(PackedFitness, ValidatesClassAndDimension) {
   AssociativeMemory am(3, 256, /*seed=*/4);
   util::Rng rng(14);
-  for (std::size_t c = 0; c < 3; ++c) am.add(c, Hypervector::random(256, rng));
+  for (std::size_t c = 0; c < 3; ++c) {
+    am.add_packed(c, PackedHv::random(256, rng));
+  }
   am.finalize();
   const auto query = PackedHv::random(256, rng);
   EXPECT_THROW((void)am.packed().similarity_to(3, query), std::out_of_range);

@@ -1,4 +1,4 @@
-// Tests for hdc/packed_hv: bit-exact agreement with the dense backend.
+// Tests for hdc/packed_hv: bit-exact agreement with the dense reference.
 
 #include "hdc/packed_hv.hpp"
 
@@ -7,8 +7,14 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "dense_oracle.hpp"
+
 namespace hdtest::hdc {
 namespace {
+
+using oracle::Hypervector;
+using oracle::pack;
+using oracle::unpack;
 
 TEST(PackedHv, ZeroDimThrows) {
   EXPECT_THROW(PackedHv(0), std::invalid_argument);
@@ -22,9 +28,12 @@ TEST(PackedHv, FreshVectorIsAllPlusOne) {
 TEST(PackedHv, DenseRoundTrip) {
   util::Rng rng(1);
   const auto dense = Hypervector::random(1000, rng);
-  const auto packed = PackedHv::from_dense(dense);
+  const auto packed = pack(dense);
   EXPECT_EQ(packed.dim(), 1000u);
-  EXPECT_EQ(packed.to_dense(), dense);
+  EXPECT_EQ(unpack(packed), dense);
+  // The packed generator draws the reference's sequence.
+  util::Rng again(1);
+  EXPECT_EQ(PackedHv::random(1000, again), packed);
 }
 
 TEST(PackedHv, GetSetAreCheckedAndConsistent) {
@@ -62,8 +71,8 @@ TEST(PackedBind, MatchesDenseBindExactly) {
   for (const std::size_t dim : {1u, 64u, 65u, 1000u}) {
     const auto a = Hypervector::random(dim, rng);
     const auto b = Hypervector::random(dim, rng);
-    const auto packed = bind(PackedHv::from_dense(a), PackedHv::from_dense(b));
-    EXPECT_EQ(packed.to_dense(), bind(a, b)) << "dim " << dim;
+    const auto packed = bind(pack(a), pack(b));
+    EXPECT_EQ(unpack(packed), bind(a, b)) << "dim " << dim;
   }
 }
 
@@ -88,7 +97,7 @@ TEST(PackedDot, MatchesDenseDotExactly) {
   for (const std::size_t dim : {1u, 63u, 64u, 65u, 4096u}) {
     const auto a = Hypervector::random(dim, rng);
     const auto b = Hypervector::random(dim, rng);
-    EXPECT_EQ(dot(PackedHv::from_dense(a), PackedHv::from_dense(b)), dot(a, b))
+    EXPECT_EQ(dot(pack(a), pack(b)), dot(a, b))
         << "dim " << dim;
   }
 }
@@ -97,7 +106,7 @@ TEST(PackedCosine, MatchesDenseCosine) {
   util::Rng rng(7);
   const auto a = Hypervector::random(2048, rng);
   const auto b = Hypervector::random(2048, rng);
-  EXPECT_DOUBLE_EQ(cosine(PackedHv::from_dense(a), PackedHv::from_dense(b)),
+  EXPECT_DOUBLE_EQ(cosine(pack(a), pack(b)),
                    cosine(a, b));
 }
 
@@ -105,7 +114,7 @@ TEST(PackedHamming, MatchesDenseHamming) {
   util::Rng rng(8);
   const auto a = Hypervector::random(777, rng);
   const auto b = Hypervector::random(777, rng);
-  EXPECT_EQ(hamming(PackedHv::from_dense(a), PackedHv::from_dense(b)),
+  EXPECT_EQ(hamming(pack(a), pack(b)),
             hamming(a, b));
 }
 
@@ -133,11 +142,11 @@ TEST_P(PackedAgreementSweep, AllMetricsAgreeWithDense) {
   util::Rng rng(GetParam() * 31 + 7);
   const auto a = Hypervector::random(GetParam(), rng);
   const auto b = Hypervector::random(GetParam(), rng);
-  const auto pa = PackedHv::from_dense(a);
-  const auto pb = PackedHv::from_dense(b);
+  const auto pa = pack(a);
+  const auto pb = pack(b);
   EXPECT_EQ(dot(pa, pb), dot(a, b));
   EXPECT_EQ(hamming(pa, pb), hamming(a, b));
-  EXPECT_EQ(bind(pa, pb).to_dense(), bind(a, b));
+  EXPECT_EQ(unpack(bind(pa, pb)), bind(a, b));
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, PackedAgreementSweep,

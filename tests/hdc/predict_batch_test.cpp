@@ -1,38 +1,43 @@
 // Tests for the batched packed inference path: PackedAssocMemory and
-// HdcClassifier::predict_batch must agree bit-exactly with the per-sample
-// dense path at every dimension (odd dims exercise the packed tail_mask) and
-// for every worker count.
+// HdcClassifier::predict_batch must agree bit-exactly with the dense
+// reference and with per-sample predict() at every dimension (odd dims
+// exercise the packed tail_mask) and for every worker count.
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "data/synthetic_digits.hpp"
+#include "dense_oracle.hpp"
 #include "hdc/classifier.hpp"
 #include "hdc/packed_assoc_memory.hpp"
 
 namespace hdtest::hdc {
 namespace {
 
-/// An associative memory over random class prototypes, plus random queries.
+/// An associative memory over random class prototypes, its dense reference
+/// class HVs, and random queries in both forms.
 struct RandomSetup {
   AssociativeMemory am;
-  std::vector<Hypervector> queries;
+  std::vector<oracle::Hypervector> classes;
+  std::vector<oracle::Hypervector> queries;
+  std::vector<PackedHv> packed_queries;
 };
 
 RandomSetup make_random_setup(std::size_t classes, std::size_t dim,
                               std::size_t num_queries,
                               Similarity sim = Similarity::kCosine) {
-  RandomSetup setup{AssociativeMemory(classes, dim, 17, sim), {}};
+  RandomSetup setup{AssociativeMemory(classes, dim, 17, sim), {}, {}, {}};
   util::Rng rng(dim * 31 + classes);
   for (std::size_t c = 0; c < classes; ++c) {
-    setup.am.add(c, Hypervector::random(dim, rng));
-    setup.am.add(c, Hypervector::random(dim, rng));
+    setup.am.add_packed(c, PackedHv::random(dim, rng));
+    setup.am.add_packed(c, PackedHv::random(dim, rng));
   }
   setup.am.finalize();
-  setup.queries.reserve(num_queries);
+  setup.classes = oracle::class_hvs(setup.am, 17);
   for (std::size_t q = 0; q < num_queries; ++q) {
-    setup.queries.push_back(Hypervector::random(dim, rng));
+    setup.queries.push_back(oracle::Hypervector::random(dim, rng));
+    setup.packed_queries.push_back(oracle::pack(setup.queries.back()));
   }
   return setup;
 }
@@ -49,11 +54,9 @@ TEST(PackedAssocMemoryBatch, RejectsBadInputs) {
   EXPECT_THROW((void)packed.predict(PackedHv::random(64, rng)),
                std::invalid_argument);
 
-  // Prototypes must agree on dimension.
-  std::vector<Hypervector> ragged;
-  ragged.push_back(Hypervector::random(64, rng));
-  ragged.push_back(Hypervector::random(128, rng));
-  EXPECT_THROW(PackedAssocMemory(ragged, Similarity::kCosine),
+  // The rows must fill num_classes x words_for_bits(dim) words exactly.
+  EXPECT_THROW(PackedAssocMemory(64, 2, Similarity::kCosine,
+                                 std::vector<std::uint64_t>(3)),
                std::invalid_argument);
 }
 
@@ -64,10 +67,11 @@ TEST(PackedAssocMemoryBatch, MatchesDensePredictAcrossDims) {
     EXPECT_EQ(packed.dim(), dim);
     EXPECT_EQ(packed.num_classes(), 10u);
 
-    const auto batch = packed.predict_batch(setup.queries);
+    const auto batch = packed.predict_batch(setup.packed_queries);
     ASSERT_EQ(batch.size(), setup.queries.size());
     for (std::size_t q = 0; q < setup.queries.size(); ++q) {
-      EXPECT_EQ(batch[q], setup.am.predict(setup.queries[q]))
+      EXPECT_EQ(batch[q], oracle::predict(setup.classes, setup.queries[q],
+                                          Similarity::kCosine))
           << "dim " << dim << " query " << q;
     }
   }
@@ -75,19 +79,21 @@ TEST(PackedAssocMemoryBatch, MatchesDensePredictAcrossDims) {
 
 TEST(PackedAssocMemoryBatch, HammingMetricMatchesToo) {
   const auto setup = make_random_setup(7, 1000, 16, Similarity::kHamming);
-  const auto batch = setup.am.packed().predict_batch(setup.queries);
+  const auto batch = setup.am.packed().predict_batch(setup.packed_queries);
   for (std::size_t q = 0; q < setup.queries.size(); ++q) {
-    EXPECT_EQ(batch[q], setup.am.predict(setup.queries[q]));
+    EXPECT_EQ(batch[q], oracle::predict(setup.classes, setup.queries[q],
+                                        Similarity::kHamming));
   }
 }
 
 TEST(PackedAssocMemoryBatch, SimilaritiesMatchDenseExactly) {
   for (const std::size_t dim : {64u, 1000u}) {
     const auto setup = make_random_setup(5, dim, 8);
-    for (const auto& query : setup.queries) {
-      const auto dense = setup.am.similarities(query);
+    for (std::size_t q = 0; q < setup.queries.size(); ++q) {
+      const auto dense = oracle::similarities(
+          setup.classes, setup.queries[q], Similarity::kCosine);
       const auto packed =
-          setup.am.packed().similarities(PackedHv::from_dense(query));
+          setup.am.packed().similarities(setup.packed_queries[q]);
       ASSERT_EQ(dense.size(), packed.size());
       for (std::size_t c = 0; c < dense.size(); ++c) {
         EXPECT_DOUBLE_EQ(dense[c], packed[c]) << "dim " << dim;
@@ -96,23 +102,12 @@ TEST(PackedAssocMemoryBatch, SimilaritiesMatchDenseExactly) {
   }
 }
 
-TEST(PackedAssocMemoryBatch, PrePackedOverloadAgrees) {
-  const auto setup = make_random_setup(6, 2048, 12);
-  std::vector<PackedHv> packed_queries;
-  packed_queries.reserve(setup.queries.size());
-  for (const auto& q : setup.queries) {
-    packed_queries.push_back(PackedHv::from_dense(q));
-  }
-  EXPECT_EQ(setup.am.packed().predict_batch(setup.queries),
-            setup.am.packed().predict_batch(packed_queries));
-}
-
 TEST(PackedAssocMemoryBatch, WorkerCountNeverChangesResults) {
   for (const std::size_t dim : {64u, 1000u, 2048u, 8192u}) {
     const auto setup = make_random_setup(10, dim, 24);
     const auto& packed = setup.am.packed();
-    const auto sequential = packed.predict_batch(setup.queries, 1);
-    const auto threaded = packed.predict_batch(setup.queries, 4);
+    const auto sequential = packed.predict_batch(setup.packed_queries, 1);
+    const auto threaded = packed.predict_batch(setup.packed_queries, 4);
     EXPECT_EQ(sequential, threaded) << "dim " << dim;
   }
 }
@@ -142,7 +137,8 @@ TEST_F(ClassifierBatchTest, RequiresTraining) {
   const HdcClassifier untrained(config, 28, 28, 10);
   EXPECT_THROW((void)untrained.predict_batch(pair().test.images),
                std::logic_error);
-  EXPECT_THROW((void)untrained.predict_batch_encoded({}), std::logic_error);
+  EXPECT_THROW((void)untrained.predict(pair().test.images.front()),
+               std::logic_error);
 }
 
 TEST_F(ClassifierBatchTest, BitExactWithPerSamplePredictAcrossDims) {
@@ -169,13 +165,11 @@ TEST_F(ClassifierBatchTest, WorkerCountNeverChangesResults) {
 
 TEST_F(ClassifierBatchTest, EncodedOverloadAgreesWithImageOverload) {
   const auto model = make_model(kDim);
-  std::vector<Hypervector> queries;
-  queries.reserve(pair().test.size());
-  for (const auto& image : pair().test.images) {
-    queries.push_back(model.encoder().encode(image));
-  }
-  EXPECT_EQ(model.predict_batch_encoded(queries),
-            model.predict_batch(pair().test.images));
+  const auto queries = model.encoder().encode_batch_packed(pair().test.images);
+  const auto encoded = model.evaluate_encoded(queries, pair().test.labels);
+  const auto direct = model.evaluate(pair().test);
+  EXPECT_EQ(encoded.correct, direct.correct);
+  EXPECT_EQ(encoded.confusion, direct.confusion);
 }
 
 TEST_F(ClassifierBatchTest, EvaluateMatchesManualAccuracy) {

@@ -147,9 +147,8 @@ TEST(Serialize, StreamLoadRestoresPackedSnapshotVerbatim) {
   instrument::reset();
   const auto loaded = load_model(buffer);
   // The stream loader restores the stored packed AM rows verbatim: zero
-  // dense->packed PackedAssocMemory rebuilds during load (the encoder's
-  // packed codebook mirrors still regenerate from the seed; only the AM
-  // rebuild is on trial).
+  // class-HV rebuilds during load (the encoder's packed codebook mirrors
+  // still regenerate from the seed; only the AM rebuild is on trial).
   EXPECT_EQ(instrument::packed_am_rebuilds(), 0u);
 
   // The snapshot is bit-identical to the saved model's.
@@ -159,8 +158,6 @@ TEST(Serialize, StreamLoadRestoresPackedSnapshotVerbatim) {
     const auto restored = loaded.am().packed().class_words(c);
     ASSERT_EQ(std::vector<std::uint64_t>(original.begin(), original.end()),
               std::vector<std::uint64_t>(restored.begin(), restored.end()));
-    // Dense class HVs are unpacked from it exactly.
-    EXPECT_EQ(loaded.am().class_hv(c), model.am().class_hv(c));
   }
   for (const auto& image : digits().test.images) {
     EXPECT_EQ(loaded.predict(image), model.predict(image));

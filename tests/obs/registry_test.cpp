@@ -181,9 +181,10 @@ TEST(ObsRegistry, ExternalCellsAppearInterleavedInNameOrder) {
 TEST(ObsRegistry, GlobalRegistryExposesTheDenseFreeInstrumentCounters) {
   const Snapshot snap = Registry::global().snapshot();
   const char* expected[] = {
-      "hdc_dense_hv_materializations_total", "hdc_packed_from_dense_total",
-      "hdc_am_row_walks_total",              "hdc_packed_am_rebuilds_total",
-      "hdc_item_memory_generations_total",   "hdc_packed_codebook_builds_total",
+      "hdc_am_row_walks_total",
+      "hdc_packed_am_rebuilds_total",
+      "hdc_packed_codebook_builds_total",
+      "hdc_codebook_row_rematerializations_total",
   };
   for (const char* name : expected) {
     const bool found = std::any_of(
